@@ -1,17 +1,21 @@
 """Tiered dispatch performance: time-to-first-result, hot-swap latency,
-marshalling-plan call overhead, and batch-compile throughput.
+warm native call overhead against named baselines, and batch-compile
+throughput.
 
 The numbers behind DESIGN.md §10: with ``REPRO_TIER=async`` a fresh
 kernel must answer its first call from the simulated tier in
 milliseconds (hard-asserted < 50 ms, the acceptance bar) while the
 native compile runs in the background; ``compile_many`` fans N ladder
-walks across the worker pool.  The marshalling micro-benchmark compares
-the precomputed per-kernel plan against the legacy re-derive-ctypes-
-per-call loop, interleaved best-of-N so machine noise hits both paths
-alike.  Everything lands in ``BENCH_dispatch.json``; the only hard
-gates are the 50 ms first-call bound and "the plan does not lose" —
-speedup targets are tracked through the JSON, not asserted, so a
-loaded CI box cannot flake the suite.
+walks across the worker pool.  The warm-call micro-benchmark times four
+things interleaved best-of-N, so machine noise hits them alike: a plain
+``NativeKernel`` call, the legacy re-derive-ctypes-per-call loop, the
+bare ctypes call with pre-marshalled arguments (the floor) and
+``call_batch`` at n=1.  Everything lands in ``BENCH_dispatch.json``,
+including ``call_over_floor`` (a plain call over the floor) and
+``batch1_over_call`` (``call_batch`` at n=1 over a plain call); the only
+hard gates are the 50 ms first-call bound and "the plan does not lose"
+to the legacy loop — speedup targets are tracked through the JSON, not
+asserted, so a loaded CI box cannot flake the suite.
 """
 
 from __future__ import annotations
@@ -116,19 +120,26 @@ def test_perf_dispatch(monkeypatch, tmp_path):
         assert async_k.backend == BackendKind.NATIVE
         wall += ttfr_sync + ttfr_async + swap_latency
 
-        # -- warm native call overhead: plan vs legacy marshalling -----
+        # -- warm native call overhead against named baselines ---------
         native = async_k._native
         args = (np.ones(N, np.float32), N)
-        native(*args)                       # warm
-        _legacy_native_call(native, args)
-        best_plan = best_legacy = float("inf")
+        floor_args = tuple(value if address is None else address(value)
+                           for address, value in zip(native._plan, args))
+        calls = {
+            "plan": lambda: native(*args),
+            "legacy": lambda: _legacy_native_call(native, args),
+            "floor": lambda: native._fn(*floor_args),
+            "batch1": lambda: native.call_batch([args]),
+        }
+        best = dict.fromkeys(calls, float("inf"))
+        for call in calls.values():         # warm
+            call()
         for _ in range(5):                  # interleaved best-of-N
-            best_plan = min(best_plan, _time_calls(
-                lambda: native(*args), ROUNDS // 5))
-            best_legacy = min(best_legacy, _time_calls(
-                lambda: _legacy_native_call(native, args), ROUNDS // 5))
+            for key, call in calls.items():
+                best[key] = min(best[key], _time_calls(call, ROUNDS // 5))
+        best_plan, best_legacy = best["plan"], best["legacy"]
         plan_ratio = best_legacy / best_plan
-        wall += (best_plan + best_legacy) * ROUNDS
+        wall += sum(best.values()) * ROUNDS
 
         # -- compile_many: batch vs sequential ladder walks ------------
         t0 = time.perf_counter()
@@ -156,6 +167,8 @@ def test_perf_dispatch(monkeypatch, tmp_path):
                 ("ttfr-sync", ttfr_sync), ("ttfr-tiered", ttfr_async),
                 ("hot-swap-latency", swap_latency),
                 ("call-plan", best_plan), ("call-legacy", best_legacy),
+                ("call-floor", best["floor"]),
+                ("call-batch1", best["batch1"]),
                 ("compile-seq", sequential),
                 ("compile-many", parallel)]:
             series.append({"kernel": label, "backend": "native",
@@ -166,6 +179,8 @@ def test_perf_dispatch(monkeypatch, tmp_path):
             "speedup": {"first_result": ttfr_sync / ttfr_async,
                         "marshalling_plan": plan_ratio,
                         "compile_many": batch_ratio},
+            "ratio": {"call_over_floor": best_plan / best["floor"],
+                      "batch1_over_call": best["batch1"] / best_plan},
             "workers": BATCH,
         }
         print_series(
@@ -176,6 +191,8 @@ def test_perf_dispatch(monkeypatch, tmp_path):
              ("hot-swap", swap_latency * 1e3),
              ("call plan [us]", best_plan * 1e6),
              ("call legacy [us]", best_legacy * 1e6),
+             ("call floor [us]", best["floor"] * 1e6),
+             ("call_batch n=1 [us]", best["batch1"] * 1e6),
              ("seq compile x4", sequential * 1e3),
              ("compile_many x4", parallel * 1e3)])
         # Soft gates: the plan must not lose to the per-call re-derive

@@ -1,12 +1,29 @@
 """Linking generated native code into the runtime (the JNI analog).
 
 The paper links LMS-generated C into the JVM through JNI, automating the
-``Java_<pkg>_<class>_<method>`` naming with Scala macros.  The Python
-analog is ``ctypes``: arrays are passed as pointers into the numpy
-buffers (the equivalent of ``GetPrimitiveArrayCritical`` pinning — numpy
-arrays never move, so the GC-copy caveat of Section 3.5 does not arise),
-scalars are marshalled by value, and the exported symbol name is derived
-automatically from the staged function.
+``Java_<pkg>_<class>_<method>`` naming and the glue code with Scala
+macros.  The Python analog is ``ctypes``, with the glue generated here:
+
+* Every array parameter is declared ``c_void_p`` and crosses as the raw
+  address of its NumPy buffer — the equivalent of
+  ``GetPrimitiveArrayCritical`` pinning (numpy arrays never move, so the
+  GC-copy caveat of Section 3.5 does not arise).  One address function
+  per parameter (:func:`marshalling_plan`) checks the type and dtype,
+  then takes ``addressof(c_char.from_buffer(v))``, which checks
+  C-contiguity and writability in C.  When that refuses, a slow path
+  raises the boundary's ``TypeError`` for a non-contiguous array and
+  ``ValueError`` for a read-only array the kernel writes, and otherwise
+  (a read-only input, an empty array) returns ``v.ctypes.data``.
+* At link time each export gets a generated Python binding
+  (:func:`bind_export`): straight-line code with an arity check and the
+  address fast path inlined per array, falling back to the plan entry.
+  ``NativeKernel.__call__`` is that binding and nothing else.
+* Scalars are marshalled by value by the ``argtypes``, and the exported
+  symbol name is derived automatically from the staged function.
+
+The batched entry point (``<symbol>__batch``) takes the same addresses
+through the same plan, in a ``void**`` table (see
+:meth:`NativeKernel.call_batch`).
 """
 
 from __future__ import annotations
@@ -21,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +56,7 @@ from repro.codegen.compiler import (
 )
 from repro.lms.staging import StagedFunction
 from repro.lms.types import ArrayType, ScalarType, Type, VectorType, VoidType
+from repro.simd.exec import _as_scalar, refuse_read_only_store
 
 _CTYPE_BY_SCALAR = {
     "Float": ctypes.c_float, "Double": ctypes.c_double,
@@ -49,6 +67,9 @@ _CTYPE_BY_SCALAR = {
     "UInt": ctypes.c_uint32, "ULong": ctypes.c_uint64,
 }
 
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
 
 class NativeLinkError(RuntimeError):
     """Raised when a staged function cannot be linked natively."""
@@ -58,7 +79,7 @@ def _ctype_for(tp: Type):
     if isinstance(tp, ScalarType):
         return _CTYPE_BY_SCALAR[tp.name]
     if isinstance(tp, ArrayType):
-        return ctypes.POINTER(_CTYPE_BY_SCALAR[tp.elem.name])
+        return ctypes.c_void_p
     if isinstance(tp, VoidType):
         return None
     if isinstance(tp, VectorType):
@@ -69,83 +90,100 @@ def _ctype_for(tp: Type):
     raise NativeLinkError(f"no ctypes mapping for {tp}")
 
 
-def _array_converter(param) -> Any:
-    """One array parameter's marshalling closure.
+def _array_address(param, writes: bool) -> Callable[[Any], int]:
+    """One array parameter's address function.
 
-    Everything decidable from the signature — the kind test, the
-    expected dtype object, the ctypes pointer type — is resolved here,
-    once, instead of on every call (the old path re-indexed
-    ``_CTYPE_BY_SCALAR`` and re-derived ``np_dtype`` per argument per
-    call).  The per-call residue is three checks and one ``data_as``.
+    The fast path is an ``isinstance`` and dtype check, then the buffer
+    protocol's address, whose C side refuses non-contiguous and
+    read-only buffers (and empty ones: a ``c_char`` needs one byte).
+    The slow path sorts those out: a non-contiguous array is a
+    ``TypeError``, a read-only array for a parameter the kernel writes
+    (``writes``) is the ``ValueError`` NumPy raises for such a store,
+    and anything else takes ``ctypes.data``.
     """
     expected = param.tp.elem.np_dtype
-    ptr_type = ctypes.POINTER(_CTYPE_BY_SCALAR[param.tp.elem.name])
 
-    def convert(value: Any) -> Any:
+    def address(value: Any) -> int:
         if not isinstance(value, np.ndarray):
             raise TypeError(f"expected numpy array for {param!r}")
         if value.dtype != expected:
             raise TypeError(
                 f"array for {param!r} must have dtype {expected}"
             )
-        if not value.flags["C_CONTIGUOUS"]:
+        try:
+            return _addressof(_from_buffer(value))
+        except (TypeError, ValueError):
+            pass
+        if not value.flags.c_contiguous:
             raise TypeError("arrays must be C-contiguous")
-        return value.ctypes.data_as(ptr_type)
+        refuse_read_only_store(value, writes)
+        return value.ctypes.data
 
-    return convert
+    return address
 
 
 def marshalling_plan(staged: StagedFunction) -> tuple:
-    """The per-parameter converter tuple for a staged function's export.
+    """The per-parameter marshalling tuple of a staged function's export.
 
     ``None`` entries pass through untouched (scalars are marshalled by
-    the ``argtypes`` ctypes already carries); array entries are
-    specialized closures from :func:`_array_converter`.  A warm native
-    call is then a tuple-walk plus one ctypes invocation.
+    the ``argtypes`` ctypes already carries); array entries are the
+    :func:`_array_address` functions, whose results the ``c_void_p``
+    argtypes take as they are.  Single and batched calls both take
+    their addresses from here.
     """
+    written = staged.effects.writes
     return tuple(
-        _array_converter(p) if isinstance(p.tp, ArrayType) else None
+        _array_address(p, p.id in written)
+        if isinstance(p.tp, ArrayType) else None
         for p in staged.params)
 
 
-def _batch_array_packer(param) -> Any:
-    """One array parameter's *batch* marshalling closure: the same
-    validation as :func:`_array_converter` but yielding the raw data
-    address for the ``void**`` table — the array payload itself never
-    moves (zero-copy)."""
-    expected = param.tp.elem.np_dtype
+def bind_export(staged: StagedFunction, fn: Any, plan: tuple) -> Callable:
+    """Generate the Python binding of one export from its signature.
 
-    def pack(value: Any) -> int:
-        if not isinstance(value, np.ndarray):
-            raise TypeError(f"expected numpy array for {param!r}")
-        if value.dtype != expected:
-            raise TypeError(
-                f"array for {param!r} must have dtype {expected}"
-            )
-        if not value.flags["C_CONTIGUOUS"]:
-            raise TypeError("arrays must be C-contiguous")
-        return value.ctypes.data
-
-    return pack
-
-
-def batch_marshalling_plan(staged: StagedFunction) -> tuple:
-    """The batch-shape marshalling plan: one entry per parameter.
-
-    Array entries are :func:`_batch_array_packer` closures (pointer
-    extraction, zero-copy); scalar entries are the numpy dtype their
-    values are packed into the arena with (one contiguous pack per
-    batch).
+    The binding is straight-line code — an arity check, the address
+    fast path inlined for each array parameter, and the ctypes call —
+    so a warm call walks no plan.  Any array the inline test does not
+    take (a subclass, an equal-but-not-identical dtype, a read-only or
+    empty buffer, a wrong argument) goes to its plan entry, which takes
+    it or raises.  The arrays themselves stay referenced by the
+    binding's ``args`` for the whole native call.  This is how
+    :mod:`repro.isa.registry` builds the eDSL modules, and how the paper
+    generates its JNI glue.
     """
-    plan = []
-    for p in staged.params:
-        if isinstance(p.tp, ArrayType):
-            plan.append(("array", _batch_array_packer(p)))
-        elif isinstance(p.tp, ScalarType):
-            plan.append(("scalar", p.tp.np_dtype))
-        else:  # pragma: no cover - link_native refuses these already
-            raise NativeLinkError(f"no batch marshalling for {p.tp}")
-    return tuple(plan)
+    n = len(plan)
+    names = [f"a{j}" for j in range(n)]
+    namespace: dict[str, Any] = {
+        "fn": fn, "ndarray": np.ndarray, "addressof": _addressof,
+        "from_buffer": _from_buffer,
+        "arity": f"{staged.name} expects {n} arguments, got ",
+    }
+    lines = [
+        "def call(*args):",
+        f"    if len(args) != {n}:",
+        "        raise TypeError(arity + str(len(args)))",
+    ]
+    if n:
+        lines.append(f"    {', '.join(names)}, = args")
+    for j, entry in enumerate(plan):
+        if entry is None:
+            continue
+        namespace[f"p{j}"] = entry
+        namespace[f"d{j}"] = staged.params[j].tp.elem.np_dtype
+        a = names[j]
+        lines += [
+            f"    if isinstance({a}, ndarray) and {a}.dtype is d{j}:",
+            "        try:",
+            f"            {a} = addressof(from_buffer({a}))",
+            "        except (TypeError, ValueError):",
+            f"            {a} = p{j}({a})",
+            "    else:",
+            f"        {a} = p{j}({a})",
+        ]
+    lines.append(f"    return fn({', '.join(names)})")
+    exec(compile("\n".join(lines) + "\n", f"<binding {staged.name}>",
+                 "exec"), namespace)
+    return namespace["call"]
 
 
 class _BatchArena:
@@ -154,51 +192,73 @@ class _BatchArena:
     Holds the ``void**`` argument table, one packed column per scalar
     parameter and (for non-void kernels) the result column.  Buffers
     grow geometrically to the largest batch seen and are reused for
-    every later flush — a warm batched call allocates nothing.  The
-    arena lock serializes packing *and* the native call, so concurrent
-    flushers never tear each other's tables; contention is bounded by
-    the batching layer, which flushes one batch per kernel at a time.
+    every later flush — a warm batched call allocates nothing.  Entry
+    ``i``'s scalar slots always point at row ``i`` of their columns, so
+    they are written once per growth; a batch writes only the array
+    addresses and the scalar values.  The arena lock serializes packing
+    *and* the native call, so concurrent flushers never tear each
+    other's tables; contention is bounded by the batching layer, which
+    flushes one batch per kernel at a time.
     """
 
-    __slots__ = ("lock", "capacity", "argv", "scalars", "out",
-                 "_nargs", "_plan", "_out_dtype")
+    __slots__ = ("lock", "capacity", "argv", "scalars", "out", "argv_ptr",
+                 "out_ptr", "_scalar_types", "_nargs", "_out_dtype")
 
-    def __init__(self, plan: tuple, out_dtype: np.dtype | None) -> None:
+    def __init__(self, staged: StagedFunction, plan: tuple) -> None:
         self.lock = threading.Lock()
         self.capacity = 0
         self._nargs = len(plan)
-        self._plan = plan
-        self._out_dtype = out_dtype
+        self._scalar_types = {j: p.tp for j, (p, entry)
+                              in enumerate(zip(staged.params, plan))
+                              if entry is None}
+        tp = staged.result_type
+        self._out_dtype = tp.np_dtype if isinstance(tp, ScalarType) \
+            else None
         self.argv: np.ndarray | None = None
         self.scalars: dict[int, np.ndarray] = {}
         self.out: np.ndarray | None = None
+        self.argv_ptr = self.out_ptr = None
 
     def reserve(self, n: int) -> None:
         """Grow the buffers to hold ``n`` argument sets (lock held)."""
         if n <= self.capacity:
             return
         cap = max(n, self.capacity * 2, 16)
-        self.argv = np.empty(max(cap * self._nargs, 1), dtype=np.uintp)
-        self.scalars = {
-            j: np.empty(cap, dtype=dt)
-            for j, (kind, dt) in enumerate(self._plan)
-            if kind == "scalar"
-        }
+        nargs = self._nargs
+        self.argv = np.empty(max(cap * nargs, 1), dtype=np.uintp)
+        self.scalars = {}
+        for j, tp in self._scalar_types.items():
+            column = np.empty(cap, dtype=tp.np_dtype)
+            self.scalars[j] = column
+            self.argv[j::nargs] = column.ctypes.data + \
+                column.itemsize * np.arange(cap, dtype=np.uintp)
+        self.argv_ptr = self.argv.ctypes.data
         if self._out_dtype is not None:
             self.out = np.empty(cap, dtype=self._out_dtype)
+            self.out_ptr = self.out.ctypes.data
         self.capacity = cap
+
+    def pack_scalars(self, j: int, values: list) -> None:
+        """Write one scalar parameter's values into its column, wrapping
+        out-of-range integers two's-complement style as the single call
+        (ctypes) and the simulator (``_as_scalar``) do."""
+        column = self.scalars[j]
+        try:
+            column[:len(values)] = values
+        except OverflowError:
+            tp = self._scalar_types[j]
+            column[:len(values)] = [_as_scalar(tp, v) for v in values]
 
 
 @dataclass
 class NativeKernel:
     """A compiled-and-linked staged function.
 
-    The marshalling plan is memoized on the instance at construction
-    (``__post_init__``), so the dispatch fast path does no per-call
-    type dispatch beyond the plan's own checks.  When the artifact
-    carries the batched entry point (``<symbol>__batch``),
-    :meth:`call_batch` executes N argument sets in one native call
-    through the batch-shape plan; artifacts linked from older caches
+    The marshalling plan and the generated binding are built once, at
+    construction (``__post_init__``); a call is the binding alone.  When
+    the artifact carries the batched entry point (``<symbol>__batch``),
+    :meth:`call_batch` executes N argument sets in one native call with
+    addresses from the same plan; artifacts linked from older caches
     fall back to a per-call loop transparently.
     """
 
@@ -210,39 +270,20 @@ class NativeKernel:
     system: SystemInfo
     _plan: tuple = field(default=(), repr=False, compare=False)
     _batch_fn: Any = field(default=None, repr=False, compare=False)
-    _batch_plan: tuple = field(default=(), repr=False, compare=False)
     _arena: Any = field(default=None, repr=False, compare=False)
+    _call: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._plan = marshalling_plan(self.staged)
+        self._call = bind_export(self.staged, self._fn, self._plan)
 
     def __call__(self, *args: Any) -> Any:
-        plan = self._plan
-        if len(args) != len(plan):
-            raise TypeError(
-                f"{self.staged.name} expects {len(plan)} "
-                f"arguments, got {len(args)}"
-            )
-        return self._fn(*[value if convert is None else convert(value)
-                          for convert, value in zip(plan, args)])
+        return self._call(*args)
 
     @property
     def supports_batch(self) -> bool:
         """Whether the linked artifact exports the batched entry point."""
         return self._batch_fn is not None
-
-    def _ensure_arena(self) -> "_BatchArena":
-        arena = self._arena
-        if arena is None:
-            out_dtype = None
-            tp = self.staged.result_type
-            if isinstance(tp, ScalarType):
-                out_dtype = tp.np_dtype
-            if self._batch_plan == ():
-                self._batch_plan = batch_marshalling_plan(self.staged)
-            arena = _BatchArena(self._batch_plan, out_dtype)
-            self._arena = arena
-        return arena
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
         """Execute ``args_seq`` (N argument tuples) in one native call.
@@ -250,10 +291,10 @@ class NativeKernel:
         Argument packing is batch-atomic: every entry is validated and
         packed before the native call runs, so an invalid entry raises
         without executing anything.  Array payloads are never copied —
-        their data pointers go straight into the ``void**`` table;
-        scalars are packed once into the reusable arena.  Without the
-        batched symbol (artifacts published before it existed) this
-        degrades to a per-call loop with identical results.
+        their addresses go straight into the ``void**`` table; scalars
+        are packed once into the reusable arena.  Without the batched
+        symbol (artifacts published before it existed) this degrades to
+        a per-call loop with identical results.
         """
         entries = [tuple(args) for args in args_seq]
         n = len(entries)
@@ -261,34 +302,28 @@ class NativeKernel:
             return []
         if self._batch_fn is None:
             return [self(*args) for args in entries]
-        nargs = len(self.staged.params)
+        plan = self._plan
+        nargs = len(plan)
         for args in entries:
             if len(args) != nargs:
                 raise TypeError(
                     f"{self.staged.name} expects {nargs} "
                     f"arguments, got {len(args)}"
                 )
-        arena = self._ensure_arena()
+        arena = self._arena
+        if arena is None:
+            arena = self._arena = _BatchArena(self.staged, plan)
         with arena.lock:
             arena.reserve(n)
             argv = arena.argv
-            for j, (kind, spec) in enumerate(self._batch_plan):
-                if kind == "array":
-                    argv[j:n * nargs:nargs] = \
-                        [spec(args[j]) for args in entries]
+            for j, address in enumerate(plan):
+                if address is None:
+                    arena.pack_scalars(j, [args[j] for args in entries])
                 else:
-                    column = arena.scalars[j]
-                    column[:n] = [args[j] for args in entries]
-                    base = column.ctypes.data
                     argv[j:n * nargs:nargs] = \
-                        base + column.itemsize * np.arange(n,
-                                                           dtype=np.uintp)
+                        [address(args[j]) for args in entries]
+            self._batch_fn(n, arena.argv_ptr, arena.out_ptr)
             out = arena.out
-            out_ptr = ctypes.c_void_p(out.ctypes.data) \
-                if out is not None else ctypes.c_void_p(0)
-            self._batch_fn(
-                n, argv.ctypes.data_as(ctypes.POINTER(ctypes.c_void_p)),
-                out_ptr)
             if out is None:
                 return [None] * n
             # .tolist() yields the same Python values ctypes' restype
@@ -490,8 +525,7 @@ def link_native(artifact: NativeArtifact) -> NativeKernel:
     # it existed still link, they just batch via a per-call loop.
     batch_fn = getattr(lib, artifact.symbol + BATCH_SUFFIX, None)
     if batch_fn is not None:
-        batch_fn.argtypes = [ctypes.c_int64,
-                             ctypes.POINTER(ctypes.c_void_p),
+        batch_fn.argtypes = [ctypes.c_int64, ctypes.c_void_p,
                              ctypes.c_void_p]
         batch_fn.restype = None
     return NativeKernel(staged=artifact.staged, c_source=artifact.c_source,

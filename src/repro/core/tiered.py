@@ -323,9 +323,11 @@ class TierEvent:
 class SimulatedDispatch:
     """The simulated-tier call path of a managed kernel.
 
-    Counts tier-at-call, ticks the hotness gate, and runs the
-    simulator.  The hot-swap replaces this object wholesale, so no
-    per-call branching on "am I native yet" is needed.
+    Counts tier-at-call (one int bump of the kernel's ``tier_calls``,
+    read as ``tiered.calls`` by the metrics registry), ticks the
+    hotness gate, and runs the simulator.  The hot-swap replaces this
+    object wholesale, so no per-call branching on "am I native yet" is
+    needed.
 
     The gate is race-safe without a fast-path lock: ``countdown``
     holds the armed threshold (``None`` disarms it) and never changes
@@ -347,7 +349,6 @@ class SimulatedDispatch:
     def __call__(self, *args: Any) -> Any:
         kernel = self.kernel
         kernel.tier_calls["simulated"] += 1
-        obs.counter("tiered.calls", tier="simulated")
         threshold = self.countdown
         if threshold is not None and \
                 next(self._ticks) == (threshold if threshold > 0 else 1):
@@ -362,7 +363,6 @@ class SimulatedDispatch:
         kernel = self.kernel
         n = len(args_seq)
         kernel.tier_calls["simulated"] += n
-        obs.counter("tiered.calls", n, tier="simulated")
         threshold = self.countdown
         if threshold is not None:
             arm = threshold if threshold > 0 else 1
@@ -376,8 +376,9 @@ class SimulatedDispatch:
 
 
 class NativeDispatch:
-    """The native-tier call path: one counter bump, then the
-    :class:`NativeKernel`'s precomputed marshalling plan."""
+    """The native-tier call path: one int bump of the kernel's
+    ``tier_calls`` (read as ``tiered.calls`` by the metrics registry),
+    then the :class:`NativeKernel`'s generated binding."""
 
     __slots__ = ("kernel", "native")
 
@@ -387,7 +388,6 @@ class NativeDispatch:
 
     def __call__(self, *args: Any) -> Any:
         self.kernel.tier_calls["native"] += 1
-        obs.counter("tiered.calls", tier="native")
         return self.native(*args)
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
@@ -396,7 +396,6 @@ class NativeDispatch:
         :meth:`NativeKernel.call_batch`)."""
         n = len(args_seq)
         self.kernel.tier_calls["native"] += n
-        obs.counter("tiered.calls", n, tier="native")
         return self.native.call_batch(args_seq)
 
 
@@ -475,6 +474,7 @@ class KernelManager:
                 kernel._policy_note(note)
         kernel._impl = SimulatedDispatch(kernel, self, countdown)
         obs.counter("tiered.managed", mode=mode)
+        obs.tally(kernel, "tiered.calls", "tier", kernel.tier_calls)
         if mode == "async":
             self.promote(kernel)
 

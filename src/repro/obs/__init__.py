@@ -59,6 +59,7 @@ __all__ = [
     "read_jsonl",
     "reset",
     "span",
+    "tally",
 ]
 
 _tracer = Tracer()
@@ -90,6 +91,20 @@ def counter(name: str, value: float = 1.0, **labels: Any) -> None:
     """Increment a counter cell."""
     if obs_enabled():
         _registry.inc(name, value, **labels)
+
+
+def tally(owner: Any, name: str, label: str, counts: dict) -> None:
+    """Report ``counts`` — per-call counts a hot path keeps as plain
+    ints in a ``{label value: int}`` dict — as the counter cells
+    ``name{label=...}``, read when metrics are (see
+    :meth:`MetricsRegistry.track`).  The call path then pays one int
+    bump per call, with no environment read, label sort or lock.
+
+    ``REPRO_OBS`` is read here, once, not per call: counts registered
+    while observability is on keep being read after it is turned off,
+    and counts an owner keeps while it is off are never registered."""
+    if obs_enabled():
+        _registry.track(owner, name, label, counts)
 
 
 def gauge(name: str, value: float, **labels: Any) -> None:

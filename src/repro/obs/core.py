@@ -25,6 +25,7 @@ import json
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -271,6 +272,11 @@ class MetricsRegistry:
     Metric identity is ``(name, sorted labels)``; names are dotted
     (``compile.attempts``) and mapped to Prometheus conventions
     (``repro_compile_attempts_total``) only at exposition time.
+
+    Besides the cells updated through :meth:`inc`, a counter can be a
+    *tally* (:meth:`track`): a dict of plain ints its owner bumps on a
+    hot path with no lock, turned into counter cells only when metrics
+    are read.
     """
 
     def __init__(self) -> None:
@@ -278,6 +284,10 @@ class MetricsRegistry:
         self._counters: dict[tuple, float] = {}
         self._gauges: dict[tuple, float] = {}
         self._histograms: dict[tuple, HistogramData] = {}
+        # id(counts) -> (name, label, counts, counts at the last reset)
+        self._tallies: dict[int, tuple[str, str, dict, dict]] = {}
+        # keys of tallies whose owner was collected, not yet folded
+        self._retired: list[int] = []
 
     # -- updates -------------------------------------------------------
 
@@ -285,6 +295,40 @@ class MetricsRegistry:
         key = _key(name, labels)
         with self._lock:
             self._counters[key] = self._counters.get(key, 0.0) + value
+
+    def track(self, owner: Any, name: str, label: str,
+              counts: dict) -> None:
+        """Read ``counts`` — ``{label value: int}``, bumped by its owner
+        without this registry — as the counter cells ``name{label=...}``.
+
+        Tracking the same dict twice is a no-op.  When ``owner`` is
+        collected, what its counts added since the last :meth:`reset`
+        is folded into the stored counters, so the cells never go back.
+        """
+        key = id(counts)
+        with self._lock:
+            self._fold_retired()
+            if key in self._tallies:
+                return
+            self._tallies[key] = (name, label, counts, {})
+        weakref.finalize(owner, self._retired.append, key)
+
+    def _fold_retired(self) -> None:
+        """Fold the tallies of collected owners into the stored
+        counters (lock held).
+
+        The finalizer only appends the key: it runs wherever the cyclic
+        GC fires, possibly in a thread already holding the lock, so it
+        must not take it.  Until folded, a retired tally is still read
+        in place.
+        """
+        retired = self._retired
+        while retired:
+            tally = self._tallies.pop(retired.pop(), None)
+            if tally is not None:
+                for cell, value in _tally_cells((tally,)).items():
+                    self._counters[cell] = \
+                        self._counters.get(cell, 0.0) + value
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         with self._lock:
@@ -305,27 +349,35 @@ class MetricsRegistry:
 
     # -- reads ---------------------------------------------------------
 
+    def _counter_cells(self) -> dict[tuple, float]:
+        """Every counter cell, tallies included (lock held)."""
+        self._fold_retired()
+        cells = dict(self._counters)
+        for cell, value in _tally_cells(self._tallies.values()).items():
+            cells[cell] = cells.get(cell, 0.0) + value
+        return cells
+
     def counter_value(self, name: str, **labels: Any) -> float:
         """One counter cell, or the sum over all label sets of ``name``
         when no labels are given."""
         with self._lock:
-            if labels:
-                return self._counters.get(_key(name, labels), 0.0)
-            return sum(v for (n, _), v in self._counters.items()
-                       if n == name)
+            cells = self._counter_cells()
+        if labels:
+            return cells.get(_key(name, labels), 0.0)
+        return sum(v for (n, _), v in cells.items() if n == name)
 
     def counters(self) -> dict[str, float]:
         """``name{k=v,...} -> value`` for every counter cell."""
         with self._lock:
-            return {_format_cell(n, lbls): v
-                    for (n, lbls), v in self._counters.items()}
+            cells = self._counter_cells()
+        return {_format_cell(n, lbls): v for (n, lbls), v in cells.items()}
 
     def snapshot(self) -> dict:
         with self._lock:
             return {
                 "kind": "metrics",
-                "counters": {_format_cell(n, ls): v
-                             for (n, ls), v in self._counters.items()},
+                "counters": {_format_cell(n, ls): v for (n, ls), v
+                             in self._counter_cells().items()},
                 "gauges": {_format_cell(n, ls): v
                            for (n, ls), v in self._gauges.items()},
                 "histograms": {_format_cell(n, ls): h.to_dict()
@@ -333,10 +385,14 @@ class MetricsRegistry:
             }
 
     def reset(self) -> None:
+        """Zero every metric; tallies restart from their current counts."""
         with self._lock:
+            self._fold_retired()
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            for key, (name, label, counts, _) in self._tallies.items():
+                self._tallies[key] = (name, label, counts, dict(counts))
 
     # -- exposition ----------------------------------------------------
 
@@ -344,7 +400,7 @@ class MetricsRegistry:
         """Prometheus text exposition format, ``repro_``-prefixed."""
         lines: list[str] = []
         with self._lock:
-            counters = dict(self._counters)
+            counters = self._counter_cells()
             gauges = dict(self._gauges)
             hists = {k: HistogramData(h.buckets, list(h.counts),
                                       h.total, h.sum)
@@ -378,6 +434,19 @@ class MetricsRegistry:
             lines.append(f"{metric}_count{_prom_labels(labels)} "
                          f"{hist.total}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _tally_cells(tallies: Iterable[tuple[str, str, dict, dict]]
+                 ) -> dict[tuple, float]:
+    """The counter cells tallies add up to since their last reset."""
+    cells: dict[tuple, float] = {}
+    for name, label, counts, base in tallies:
+        for value, count in list(counts.items()):
+            delta = count - base.get(value, 0)
+            if delta:
+                cell = _key(name, {label: value})
+                cells[cell] = cells.get(cell, 0.0) + delta
+    return cells
 
 
 def _format_cell(name: str, labels: tuple[tuple[str, str], ...]) -> str:

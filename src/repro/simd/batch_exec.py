@@ -400,17 +400,15 @@ def sweep_batch(machine, staged: StagedFunction,
     alias_keys: dict[int, list[int]] = {}
     total_bytes = 0
     for j, param in enumerate(staged.params):
-        values = [check_arg(param, args[j]) for args in entries]
+        writes = param.id in mutated
+        values = [check_arg(param, args[j], writes) for args in entries]
         if isinstance(param.tp, ArrayType):
             first = values[0]
             if first.ndim != 1:
                 raise BatchFallback("only 1-D array arguments sweep")
             if any(v.shape != first.shape for v in values):
                 raise BatchFallback("ragged array argument shapes")
-            writes = param.id in mutated
             for v in values:
-                if writes and not v.flags.writeable:
-                    raise BatchFallback("read-only mutated argument")
                 base = v.base
                 alias_keys.setdefault(
                     id(base) if base is not None else id(v),

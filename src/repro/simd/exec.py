@@ -74,13 +74,46 @@ from repro.simd.vector import VecValue
 __all__ = [
     "CompiledProgram",
     "ExecutionError",
+    "READ_ONLY_STORE",
     "check_arg",
     "compile_program",
+    "refuse_read_only_store",
+    "refuse_read_only_stores",
 ]
 
 
 class ExecutionError(RuntimeError):
     """Raised when a staged graph cannot be executed."""
+
+
+#: NumPy's message for a store into a read-only array.
+READ_ONLY_STORE = "assignment destination is read-only"
+
+
+def refuse_read_only_store(value: Any, writes: bool) -> None:
+    """The read-only rule of every execution path: both simulator
+    engines, the batch sweep and the native tier.
+
+    An array passed for a parameter the kernel stores to (``writes``)
+    must be writable.  A read-only one is refused before anything runs,
+    with the ``ValueError`` NumPy raises for a store into it, so that a
+    call which stores nothing (n=0) agrees with one that does.  A
+    read-only array the kernel only reads is fine.
+    """
+    if writes and isinstance(value, np.ndarray) \
+            and not value.flags.writeable:
+        raise ValueError(READ_ONLY_STORE)
+
+
+def refuse_read_only_stores(staged: StagedFunction,
+                            entries: Sequence[Sequence[Any]]) -> None:
+    """:func:`refuse_read_only_store` over every argument of a batch,
+    so that a batch holding a refused array runs no entry."""
+    written = staged.effects.writes
+    for j, param in enumerate(staged.params):
+        if param.id in written:
+            for args in entries:
+                refuse_read_only_store(args[j], True)
 
 
 def _as_scalar(tp: ScalarType, value: Any):
@@ -107,8 +140,12 @@ class _Box:
         self.value = value
 
 
-def check_arg(param: Sym, value: Any) -> Any:
-    """Validate/coerce one runtime argument against a staged parameter."""
+def check_arg(param: Sym, value: Any, writes: bool = False) -> Any:
+    """Validate/coerce one runtime argument against a staged parameter.
+
+    ``writes`` marks a parameter the kernel stores to; see
+    :func:`refuse_read_only_store`.
+    """
     if isinstance(param.tp, ArrayType):
         if not isinstance(value, np.ndarray):
             raise ExecutionError(
@@ -120,6 +157,7 @@ def check_arg(param: Sym, value: Any) -> Any:
                 f"parameter {param!r} needs dtype {expected}, got "
                 f"{value.dtype}"
             )
+        refuse_read_only_store(value, writes)
         return value
     if isinstance(param.tp, ScalarType):
         return _as_scalar(param.tp, value)
@@ -937,6 +975,8 @@ class _Compiler:
     def compile(self) -> "CompiledProgram":
         body = self.staged.scheduled()
         param_slots = tuple(self._define(p) for p in self.staged.params)
+        written = self.staged.effects.writes
+        param_writes = tuple(p.id in written for p in self.staged.params)
         steps = self._block_steps(body)
         result_slot = self._operand(body.result)
         tp = body.result.tp
@@ -946,6 +986,7 @@ class _Compiler:
             name=self.staged.name,
             params=tuple(self.staged.params),
             param_slots=param_slots,
+            param_writes=param_writes,
             init=self._init,
             steps=steps,
             result_slot=result_slot,
@@ -1136,17 +1177,19 @@ class CompiledProgram:
     counts).
     """
 
-    __slots__ = ("name", "params", "param_slots", "init", "steps",
-                 "result_slot", "result_tp", "counter_names")
+    __slots__ = ("name", "params", "param_slots", "param_writes", "init",
+                 "steps", "result_slot", "result_tp", "counter_names")
 
     def __init__(self, *, name: str, params: tuple[Sym, ...],
-                 param_slots: tuple[int, ...], init: list,
+                 param_slots: tuple[int, ...],
+                 param_writes: tuple[bool, ...], init: list,
                  steps: tuple[Callable, ...], result_slot: int,
                  result_tp: ScalarType | None,
                  counter_names: tuple[str, ...]):
         self.name = name
         self.params = params
         self.param_slots = param_slots
+        self.param_writes = param_writes
         self.init = init
         self.steps = steps
         self.result_slot = result_slot
@@ -1165,8 +1208,9 @@ class CompiledProgram:
                 f"got {len(args)}"
             )
         regs = self.init.copy()
-        for slot, param, value in zip(self.param_slots, params, args):
-            regs[slot] = check_arg(param, value)
+        for slot, param, writes, value in zip(
+                self.param_slots, params, self.param_writes, args):
+            regs[slot] = check_arg(param, value, writes)
         counter_names = self.counter_names
         counts = [0] * len(counter_names)
         try:

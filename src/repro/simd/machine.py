@@ -55,6 +55,7 @@ from repro.simd.exec import (  # noqa: F401  (re-exported for compatibility)
     _Box,
     check_arg,
     compile_program,
+    refuse_read_only_stores,
 )
 from repro.simd.semantics import lookup
 
@@ -238,6 +239,11 @@ class SimdMachine:
                 # effects, the entry's own exception).
                 obs.counter("sim.exec.batch.fallback")
         if results is None:
+            # A read-only array the kernel stores to fails the batch
+            # before any entry runs, as on the native tier.  (The sweep
+            # refuses one in check_arg, before touching caller memory,
+            # and so lands here too.)
+            refuse_read_only_stores(staged, entries)
             if self.executor == "compiled":
                 program = compile_program(staged)
                 results = [program.run(self, args) for args in entries]
@@ -250,8 +256,9 @@ class SimdMachine:
 
     def _run_tree(self, staged: StagedFunction, args: Sequence[Any]) -> Any:
         env: dict[int, Any] = {}
+        written = staged.effects.writes
         for param, value in zip(staged.params, args):
-            env[param.id] = check_arg(param, value)
+            env[param.id] = check_arg(param, value, param.id in written)
         body = staged.scheduled()
         self._exec_block(body, env)
         result = self._eval(body.result, env)

@@ -1,0 +1,256 @@
+"""The managed→native boundary: what crosses it and what it refuses.
+
+DESIGN.md §10's argument contract, held on every execution path: the
+tree and closure simulator engines, the simulator's whole-batch path,
+native per-call and the native batch trampoline.
+
+* A read-only array for a parameter the kernel stores to is refused up
+  front with the ``ValueError`` NumPy raises for such a store — even
+  when the call would store nothing (n=0), and in a batch before any
+  entry runs.  A read-only array the kernel only reads is accepted.
+* Out-of-range integer scalars wrap two's-complement style on every
+  path, batched or not.
+* Arrays the boundary cannot pass (not an ndarray, wrong dtype, not
+  C-contiguous) raise the same ``TypeError`` per call and per batch,
+  and a batch holding one runs no entry; everything else it takes
+  (subclasses, equal-but-not-identical dtypes, empty and temporary
+  arrays) gives the simulator's results bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core import compile_staged
+from repro.core.cache import default_cache
+from repro.core.resilience import clear_session_state
+from repro.lms import const, forloop
+from repro.lms.ops import Variable, array_apply, array_update
+from repro.lms.types import FLOAT, INT32, UINT32, array_of
+from repro.simd.machine import SimdMachine
+from tests.conftest import requires_compiler
+
+pytestmark = requires_compiler
+
+_ENV = ("REPRO_FAULTS", "REPRO_SERVICE", "REPRO_BATCH", "REPRO_BATCH_MAX",
+        "REPRO_TIER", "REPRO_BACKEND", "REPRO_CC")
+
+
+@pytest.fixture(scope="module")
+def build(tmp_path_factory):
+    """``build(fn, types)`` -> (native kernel, simulated kernel), built
+    once per module against a private disk cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("kc")))
+        for var in _ENV:
+            mp.delenv(var, raising=False)
+        default_cache.clear()
+        clear_session_state()
+        built: dict = {}
+
+        def get(fn, types):
+            key = fn.__name__
+            if key not in built:
+                native = compile_staged(fn, types, name=key,
+                                        backend="native", use_cache=False)
+                sim = compile_staged(fn, types, name=key,
+                                     backend="simulated", use_cache=False)
+                assert native._native is not None
+                built[key] = (native, sim)
+            return built[key]
+
+        yield get
+        default_cache.clear()
+        clear_session_state()
+
+
+def scale_in_place(a, s, n):
+    """a[i] = a[i] * s — stores to ``a``."""
+    forloop(0, n, step=1, body=lambda i: array_update(
+        a, i, array_apply(a, i) * s))
+
+
+def scale_into(dst, src, s, n):
+    """dst[i] = src[i] * s + 1, returning the sum — only reads ``src``."""
+    acc = Variable(const(0.0, FLOAT))
+
+    def body(i):
+        v = array_apply(src, i) * s + 1.0
+        array_update(dst, i, v)
+        acc.set(acc.get() + v)
+
+    forloop(0, n, step=1, body=body)
+    return acc.get()
+
+
+def pass_int(x):
+    return x
+
+
+def pass_uint(x):
+    return x
+
+
+IN_PLACE = [array_of(FLOAT), FLOAT, INT32]
+INTO = [array_of(FLOAT), array_of(FLOAT), FLOAT, INT32]
+
+PATHS = ("tree", "closure", "sim_batch", "native", "native_batch")
+BATCHED = ("sim_batch", "native_batch")
+
+
+def run_path(path: str, native, sim, entries: list) -> list:
+    """Run ``entries`` (argument tuples) on one execution path."""
+    if path == "tree":
+        machine = SimdMachine(executor="tree")
+        return [machine.run(sim.staged, e) for e in entries]
+    if path == "closure":
+        machine = SimdMachine(executor="compiled")
+        return [machine.run(sim.staged, e) for e in entries]
+    if path == "sim_batch":
+        return SimdMachine().run_batch(sim.staged, entries)
+    if path == "native":
+        return [native._native(*e) for e in entries]
+    assert path == "native_batch"
+    return native._native.call_batch(entries)
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float32)
+    arr.flags.writeable = False
+    return arr
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("n", [8, 0])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_store_target_is_refused_before_anything_runs(
+            self, build, path, n):
+        native, sim = build(scale_in_place, IN_PLACE)
+        start = np.arange(8, dtype=np.float32)
+        ro = _read_only(start)
+        ok = start.copy()
+        entries = [(ro, np.float32(3.0), n)]
+        if path in BATCHED:
+            entries.insert(0, (ok, np.float32(3.0), n))
+        with pytest.raises(ValueError,
+                           match="assignment destination is read-only"):
+            run_path(path, native, sim, entries)
+        assert ro.tobytes() == start.tobytes()
+        assert ok.tobytes() == start.tobytes()   # no entry ran
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_read_only_input_is_accepted(self, build, path):
+        native, sim = build(scale_into, INTO)
+        src = _read_only(np.linspace(-2, 2, 8))
+        want_dst = [np.zeros(8, np.float32) for _ in range(2)]
+        want = [sim(want_dst[0], src, np.float32(1.5), 8),
+                sim(want_dst[1], src, np.float32(-0.5), 6)]
+        dst = [np.zeros(8, np.float32) for _ in range(2)]
+        got = run_path(path, native, sim,
+                       [(dst[0], src, np.float32(1.5), 8),
+                        (dst[1], src, np.float32(-0.5), 6)])
+        assert np.array(got, np.float32).tobytes() == \
+            np.array(want, np.float32).tobytes()
+        for d, w in zip(dst, want_dst):
+            assert d.tobytes() == w.tobytes()
+
+
+class TestIntegerWrap:
+    CASES = [
+        (pass_int, INT32, 2**31 + 5, -2147483643),
+        (pass_int, INT32, -2**31 - 3, 2**31 - 3),
+        (pass_uint, UINT32, -1, 2**32 - 1),
+        (pass_uint, UINT32, 2**32 + 7, 7),
+    ]
+
+    @pytest.mark.parametrize("path",
+                             ["native", "native_batch", "sim", "sim_batch"])
+    @pytest.mark.parametrize("fn,tp,value,wrapped", CASES)
+    def test_out_of_range_scalars_wrap(self, build, fn, tp, value,
+                                       wrapped, path):
+        native, sim = build(fn, [tp])
+        kernel = native if path.startswith("native") else sim
+        if path.endswith("batch"):
+            got = kernel.call_batch([(value,), (12,)])
+        else:
+            got = [kernel(value), kernel(12)]
+        assert [int(v) for v in got] == [wrapped, 12]
+
+
+def _subclass(values) -> np.ndarray:
+    class Tagged(np.ndarray):
+        pass
+    return np.array(values, dtype=np.float32).view(Tagged)
+
+
+_META_F32 = np.dtype(np.float32, metadata={"unit": "m"})
+
+
+class TestBoundaryEdges:
+    REJECTED = [
+        ("list", lambda: [1.0] * 8, "expected numpy array"),
+        ("float64", lambda: np.ones(8, np.float64), "must have dtype"),
+        ("strided", lambda: np.ones(16, np.float32)[::2], "C-contiguous"),
+        ("fortran", lambda: np.ones((2, 4), np.float32, order="F"),
+         "C-contiguous"),
+    ]
+
+    @pytest.mark.parametrize("via", ["call", "call_batch"])
+    @pytest.mark.parametrize("label,make,message", REJECTED,
+                             ids=[r[0] for r in REJECTED])
+    def test_rejected_arrays(self, build, via, label, make, message):
+        native = build(scale_into, INTO)[0]._native
+        dst = np.zeros(8, np.float32)
+        good = (dst, np.ones(8, np.float32), np.float32(2.0), 8)
+        bad = (np.zeros(8, np.float32), make(), np.float32(2.0), 8)
+        with pytest.raises(TypeError, match=message):
+            if via == "call":
+                native(*bad)
+            else:
+                native.call_batch([good, bad])
+        assert not dst.any()    # the batch ran no entry
+
+    ACCEPTED = [
+        ("read_only", lambda: _read_only(np.arange(8) - 3.0), 8),
+        ("empty", lambda: np.empty(0, np.float32), 0),
+        ("subclass", lambda: _subclass(np.arange(8) * 0.25), 8),
+        ("metadata_dtype", lambda: np.arange(8).astype(_META_F32), 8),
+    ]
+
+    @pytest.mark.parametrize("via", ["call", "call_batch"])
+    @pytest.mark.parametrize("label,make,n", ACCEPTED,
+                             ids=[a[0] for a in ACCEPTED])
+    def test_accepted_arrays_match_simulator(self, build, via, label,
+                                             make, n):
+        native, sim = build(scale_into, INTO)
+        src = make()
+        if label == "metadata_dtype":
+            assert src.dtype == np.float32 and \
+                src.dtype is not np.dtype(np.float32)
+        want_dst = np.zeros(src.size, np.float32)
+        want = sim(want_dst, src, np.float32(1.25), n)
+        dst = np.zeros(src.size, np.float32)
+        args = (dst, src, np.float32(1.25), n)
+        got = native._native(*args) if via == "call" \
+            else native._native.call_batch([args])[0]
+        assert np.float32(got).tobytes() == np.float32(want).tobytes()
+        assert dst.tobytes() == want_dst.tobytes()
+
+    @pytest.mark.parametrize("via", ["call", "call_batch"])
+    def test_temporary_array(self, build, via):
+        native, sim = build(scale_into, INTO)
+        want_dst = np.zeros(8, np.float32)
+        want = sim(want_dst, np.arange(8, dtype=np.float32) * 0.5,
+                   np.float32(3.0), 8)
+        dst = np.zeros(8, np.float32)
+        # the source exists only as an argument of this one call
+        if via == "call":
+            got = native._native(dst, np.arange(8, dtype=np.float32) * 0.5,
+                                 np.float32(3.0), 8)
+        else:
+            got = native._native.call_batch(
+                [(dst, np.arange(8, dtype=np.float32) * 0.5,
+                  np.float32(3.0), 8)])[0]
+        assert np.float32(got).tobytes() == np.float32(want).tobytes()
+        assert dst.tobytes() == want_dst.tobytes()

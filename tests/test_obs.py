@@ -3,7 +3,9 @@ and the tolerant env-var helpers."""
 
 from __future__ import annotations
 
+import gc
 import json
+import sys
 import threading
 
 import pytest
@@ -179,6 +181,101 @@ class TestMetrics:
         for t in threads:
             t.join()
         assert reg.counter_value("spins") == 8000
+
+
+class TestTallies:
+    """Counts a hot path keeps as plain ints, read as counter cells."""
+
+    class Owner:
+        pass
+
+    def test_every_read_sees_the_counts(self, tmp_path):
+        reg = MetricsRegistry()
+        owner, counts = self.Owner(), {"native": 0, "simulated": 0}
+        reg.track(owner, "tiered.calls", "tier", counts)
+        reg.track(owner, "tiered.calls", "tier", counts)   # idempotent
+        counts["native"] += 3
+        counts["simulated"] += 1
+        assert reg.counter_value("tiered.calls", tier="native") == 3
+        assert reg.counter_value("tiered.calls") == 4
+        assert reg.counters()["tiered.calls{tier=simulated}"] == 1
+        assert reg.snapshot()["counters"]["tiered.calls{tier=native}"] == 3
+        assert 'repro_tiered_calls_total{tier="native"} 3' in \
+            reg.prometheus_text()
+        _, metrics = read_jsonl(write_jsonl(tmp_path / "t.jsonl", [], reg))
+        assert metrics["counters"]["tiered.calls{tier=native}"] == 3
+
+    def test_reset_zeroes_and_collection_keeps(self):
+        reg = MetricsRegistry()
+        owner, counts = self.Owner(), {"native": 5}
+        reg.track(owner, "tiered.calls", "tier", counts)
+        reg.reset()
+        assert reg.counters() == {}
+        assert counts == {"native": 5}      # the owner's own count stays
+        counts["native"] += 2
+        del owner                           # queued for folding
+        assert reg.counter_value("tiered.calls", tier="native") == 2
+        counts["native"] += 100             # folded: no longer read
+        assert reg.counter_value("tiered.calls", tier="native") == 2
+
+    def test_collection_under_the_lock_does_not_block(self):
+        """A managed kernel sits in a cycle, so the cyclic GC frees it,
+        in whatever thread allocates at the time — also one holding the
+        registry lock.  Its finalizer must not take that lock."""
+        reg = MetricsRegistry()
+        owner, counts = self.Owner(), {"native": 0}
+        owner.cycle = owner                 # freed only by the cyclic GC
+        reg.track(owner, "tiered.calls", "tier", counts)
+        counts["native"] += 2
+        del owner
+        done = threading.Event()
+
+        def collect_under_the_lock():
+            with reg._lock:
+                gc.collect()
+            done.set()
+
+        threading.Thread(target=collect_under_the_lock, daemon=True).start()
+        assert done.wait(timeout=10)
+        assert reg.counter_value("tiered.calls", tier="native") == 2
+        assert reg._tallies == {}           # folded at that read
+
+    def test_contended_dispatch_counts_every_call(self):
+        """The tiered dispatch's unlocked bump loses no call when many
+        threads share one kernel and the interpreter switches often."""
+        from repro.core.tiered import NativeDispatch
+
+        reg = MetricsRegistry()
+        kernel = self.Owner()
+        kernel.tier_calls = {"simulated": 0, "native": 0}
+        reg.track(kernel, "tiered.calls", "tier", kernel.tier_calls)
+        dispatch = NativeDispatch(kernel, lambda: None)
+        n_threads, calls_each = 8, 5000
+
+        def hammer():
+            for _ in range(calls_each):
+                dispatch()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reg.counter_value("tiered.calls", tier="native") == \
+            n_threads * calls_each
+
+    def test_module_helper_is_off_when_disabled(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "0")
+        owner, counts = self.Owner(), {"native": 1}
+        obs.tally(owner, "tiered.calls", "tier", counts)
+        assert obs.get_registry().counters() == {}
 
 
 class TestExportImport:
