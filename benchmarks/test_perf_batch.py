@@ -72,8 +72,6 @@ def _per_call_latency(kernel, size: int) -> float:
 def test_perf_batch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.delenv("REPRO_TIER", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    monkeypatch.delenv("REPRO_BATCH_MAX", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_SERVICE", raising=False)
     default_cache.clear()

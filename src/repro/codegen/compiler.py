@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import repro.obs as obs
-from repro.core import faults, policy
+from repro.core import faults
 from repro.core.env import env_float, env_int
 from repro.core.procutil import kill_process_group
 
@@ -404,15 +404,8 @@ def compile_with_fallback(source: str, workdir: Path,
     another rung, and backoff sleeps are capped to the time remaining.
     Returns ``(so_path, compiler, flags)`` of the first success or
     raises :class:`PermanentCompileError` once the whole ladder is
-    exhausted.
-
-    **Learned rung ordering** (DESIGN.md §15): every settled rung's
-    verdict is recorded in the policy table under the kernel's family
-    (derived from ``name``), and under ``REPRO_POLICY=learned`` the
-    walk visits rungs in learned link-success order — a family whose
-    icc rung always fails jumps straight to the rung that links.  At
-    ``off`` (and on a cold table) the fixed icc→gcc→clang / O3→O2→
-    minimal-ISA order is preserved exactly.
+    exhausted.  The order is fixed (O3→O2→minimal-ISA within each
+    compiler), so the first rung that links costs exactly one attempt.
     """
     ccs = list(compilers) if compilers is not None \
         else list(compiler_chain())
@@ -420,21 +413,9 @@ def compile_with_fallback(source: str, workdir: Path,
         raise PermanentCompileError("no C compiler found on this system")
     retries = _max_retries() if max_retries is None else max(0, max_retries)
 
-    rungs: list[tuple[CompilerInfo, str, list[str]]] = [
-        (cc, rung, fl) for cc in ccs
-        for rung, fl in flag_ladder(cc, isas, required)]
-    family = policy.family_of(name)
-    table = policy.get_policy() if policy.recording() else None
-    if table is not None and policy.acting():
-        choice_ids = [f"{cc.name}/{rung}" for cc, rung, _fl in rungs]
-        order = table.rank(family, "ladder", choice_ids)
-        obs.counter("policy.decisions", kind="ladder")
-        if order != list(range(len(rungs))):
-            obs.counter("policy.overrides", kind="ladder")
-        rungs = [rungs[i] for i in order]
-
+    rungs = [(cc, rung, fl) for cc in ccs
+             for rung, fl in flag_ladder(cc, isas, required)]
     last: CompileError | None = None
-    invocations = 0
     for cc, rung, fl in rungs:
         for try_no in range(retries + 1):
             if deadline is not None and \
@@ -467,10 +448,6 @@ def compile_with_fallback(source: str, workdir: Path,
                     outcome, detail = "permanent", str(exc)[:500]
                 att_span.set("outcome", outcome)
             duration = time.monotonic() - start
-            invocations += 1
-            if invocations == 1:
-                obs.counter("policy.ladder.first_attempt",
-                            outcome=outcome)
             obs.counter("compile.attempts", outcome=outcome,
                         compiler=cc.name)
             obs.observe("compile.attempt_s", duration,
@@ -480,11 +457,6 @@ def compile_with_fallback(source: str, workdir: Path,
                     cc.name, cc.version, rung, tuple(fl), outcome,
                     detail, duration))
             if outcome == "ok":
-                if table is not None:
-                    table.record(family, "ladder", f"{cc.name}/{rung}",
-                                 True)
-                obs.observe("policy.ladder.attempts_per_success",
-                            float(invocations))
                 return so, cc, tuple(fl)
             if outcome == "transient" and try_no < retries:
                 obs.counter("compile.retries")
@@ -496,9 +468,6 @@ def compile_with_fallback(source: str, workdir: Path,
                     sleep(pause)
                 continue
             # this rung is abandoned; the ladder moves on
-            if table is not None:
-                table.record(family, "ladder", f"{cc.name}/{rung}",
-                             False)
             obs.counter("compile.downgrades")
             break
     raise PermanentCompileError(

@@ -1,80 +1,37 @@
-"""Batched kernel execution: coalesce calls, amortize the boundary tax.
+"""Batched kernel execution: amortize the boundary tax over many calls.
 
 The paper's cost model charges the managed-to-native boundary once per
-invocation; at serving scale that tax dominates small kernels.  This
-module amortizes it two ways (DESIGN.md §13):
+invocation; at serving scale that tax dominates small kernels.
+:func:`execute_batch`, behind ``CompiledKernel.call_batch``, runs N
+argument sets against one kernel and crosses the boundary once per
+chunk instead (DESIGN.md §13).  It re-reads the kernel's
+single-attribute tiered dispatch per chunk, so a concurrent hot-swap
+splits the batch on a chunk boundary (every chunk runs atomically on
+exactly one tier).  Native chunks go through
+:meth:`NativeKernel.call_batch` (one ctypes call over a packed
+``void**`` table); simulated chunks go through
+:meth:`SimdMachine.run_batch` (one whole-batch numpy sweep when the
+entries share a control-flow path).
 
-* :func:`execute_batch` — the explicit batch API: run N argument sets
-  against one kernel, re-reading the kernel's single-attribute tiered
-  dispatch per chunk so a concurrent hot-swap splits the batch on a
-  chunk boundary (every chunk runs atomically on exactly one tier).
-  Native chunks go through :meth:`NativeKernel.call_batch` (one ctypes
-  call over a packed ``void**`` table); simulated chunks go through
-  :meth:`SimdMachine.run_batch` (one whole-batch numpy sweep when the
-  entries share a control-flow path).
-
-* :class:`KernelBatcher` — the implicit coalescing layer behind
-  ``REPRO_BATCH=1``: concurrent callers of the same kernel elect a
-  leader, which waits out a bounded window (``REPRO_BATCH_WINDOW``
-  seconds; 0 coalesces opportunistically — whatever arrived during the
-  previous flush forms the next batch) and flushes everything queued
-  as one :func:`execute_batch`.
-
-Batching is opt-in and bit-transparent: results, mutated arrays and
+Batching is explicit and bit-transparent: results, mutated arrays and
 simulator op accounting match the equivalent call-by-call loop
-(``tests/test_batch.py``).  The one documented semantic difference is
-error handling under coalescing: when a flush raises and the batch
-cannot be safely replayed entry by entry (the kernel mutates arrays,
-so a replay would double-apply side effects), every coalesced caller
-in that flush sees the same exception.
+(``tests/test_batch.py``).  Concurrent single calls are not coalesced
+into batches behind the caller's back: the thread handoff that takes
+costs more than the boundary crossings it saves (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Any, Sequence
 
 import repro.obs as obs
-from repro.core.env import env_float, env_int
 
-__all__ = [
-    "KernelBatcher",
-    "batch_enabled",
-    "batch_max",
-    "batch_window",
-    "default_batcher",
-    "execute_batch",
-]
+__all__ = ["BATCH_MAX", "execute_batch"]
 
-_TRUTHY = ("1", "true", "on", "yes")
-
-#: Hard ceiling on the coalescing window: the batcher must never turn
-#: a microsecond kernel call into an unbounded stall.
-_MAX_WINDOW_S = 0.25
-
-
-def batch_enabled() -> bool:
-    """``REPRO_BATCH``: route kernel calls through the coalescing
-    batcher (off by default)."""
-    import os
-    return os.environ.get("REPRO_BATCH", "").strip().lower() in _TRUTHY
-
-
-def batch_window() -> float:
-    """``REPRO_BATCH_WINDOW``: seconds a flush leader waits for
-    followers before flushing, clamped to [0, 0.25].  0 (the default)
-    never sleeps — calls that arrive while a flush is running form the
-    next batch."""
-    window = env_float("REPRO_BATCH_WINDOW", 0.0, minimum=0.0)
-    return min(window, _MAX_WINDOW_S)
-
-
-def batch_max() -> int:
-    """``REPRO_BATCH_MAX``: largest slice handed to one tier in one
-    call.  Chunking bounds arena growth and gives a concurrent
-    hot-swap a boundary to land on mid-batch."""
-    return env_int("REPRO_BATCH_MAX", 1024, minimum=1)
+#: Largest slice handed to one tier in one call.  Chunking bounds arena
+#: growth and gives a concurrent hot-swap a boundary to land on
+#: mid-batch.  Read at call time, so tests may patch it.
+BATCH_MAX = 1024
 
 
 def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
@@ -90,7 +47,7 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
     if not entries:
         return []
     results: list = []
-    limit = batch_max()
+    limit = BATCH_MAX
     for i in range(0, len(entries), limit):
         chunk = entries[i:i + limit]
         impl = kernel._impl
@@ -106,137 +63,3 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
         else:
             results.extend(impl(*args) for args in chunk)
     return results
-
-
-class _Entry:
-    """One queued invocation awaiting its flush."""
-
-    __slots__ = ("args", "done", "result", "error")
-
-    def __init__(self, args: tuple):
-        self.args = args
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: BaseException | None = None
-
-
-class _Queue:
-    """Per-kernel pending entries plus the leader flag."""
-
-    __slots__ = ("lock", "entries", "leader")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.entries: list[_Entry] = []
-        self.leader = False
-
-
-class KernelBatcher:
-    """Leader/follower coalescing of concurrent same-kernel calls.
-
-    Queues are keyed by ``id(kernel)``: :class:`CompiledKernel` is an
-    unhashable dataclass whose ``==`` stages graph comparisons, and
-    identity is exactly the sharing the batcher cares about.
-    """
-
-    def __init__(self, window: float | None = None,
-                 max_batch: int | None = None) -> None:
-        self._window = window
-        self._max = max_batch
-        self._lock = threading.Lock()
-        self._queues: dict[int, _Queue] = {}
-
-    def _queue_for(self, kernel) -> _Queue:
-        key = id(kernel)
-        with self._lock:
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = _Queue()
-            return queue
-
-    def submit(self, kernel, args: Sequence[Any]) -> Any:
-        """Execute ``kernel(*args)``, coalescing with concurrent
-        submissions of the same kernel.  The first caller to find no
-        leader becomes one: it waits out the window, then flushes
-        everything queued (draining until the queue stays empty) and
-        settles every waiter."""
-        entry = _Entry(tuple(args))
-        queue = self._queue_for(kernel)
-        with queue.lock:
-            queue.entries.append(entry)
-            lead = not queue.leader
-            if lead:
-                queue.leader = True
-        if lead:
-            self._lead(kernel, queue)
-        else:
-            entry.done.wait()
-        if entry.error is not None:
-            raise entry.error
-        return entry.result
-
-    # -- leader side ---------------------------------------------------
-
-    def _lead(self, kernel, queue: _Queue) -> None:
-        window = self._window if self._window is not None \
-            else batch_window()
-        if window > 0:
-            time.sleep(min(window, _MAX_WINDOW_S))
-        while True:
-            with queue.lock:
-                batch = list(queue.entries)
-                queue.entries.clear()
-                if not batch:
-                    # Checked under the queue lock: an arrival after
-                    # this sees leader == False and elects itself.
-                    queue.leader = False
-                    return
-            self._flush(kernel, batch)
-
-    def _flush(self, kernel, batch: list[_Entry]) -> None:
-        start = time.perf_counter()
-        try:
-            try:
-                values = execute_batch(kernel, [e.args for e in batch])
-            except Exception as exc:  # noqa: BLE001 - settled per entry
-                self._settle_failed(kernel, batch, exc)
-            else:
-                for entry, value in zip(batch, values):
-                    entry.result = value
-        finally:
-            for entry in batch:
-                entry.done.set()
-            obs.counter("batch.flushes")
-            obs.observe("batch.flush.seconds",
-                        time.perf_counter() - start)
-
-    def _settle_failed(self, kernel, batch: list[_Entry],
-                       exc: Exception) -> None:
-        """A flush raised.  A single-entry batch owns its exception; a
-        pure kernel (no mutated arrays) is replayed entry by entry so
-        one poisoned call cannot fail its neighbors; a mutating kernel
-        cannot be replayed without double-applying side effects, so
-        the whole batch shares the exception (documented above)."""
-        obs.counter("batch.flush_errors")
-        if len(batch) == 1:
-            batch[0].error = exc
-            return
-        staged = getattr(kernel, "staged", None)
-        if staged is not None and not staged.mutated_params():
-            impl = kernel._impl
-            for entry in batch:
-                try:
-                    entry.result = impl(*entry.args)
-                except Exception as err:  # noqa: BLE001 - per caller
-                    entry.error = err
-            return
-        for entry in batch:
-            entry.error = exc
-
-
-_default_batcher = KernelBatcher()
-
-
-def default_batcher() -> KernelBatcher:
-    """The process-wide batcher behind ``REPRO_BATCH=1``."""
-    return _default_batcher

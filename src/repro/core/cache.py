@@ -26,7 +26,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None  # type: ignore[assignment]
 
 import repro.obs as obs
-from repro.core import faults, policy
+from repro.core import faults
 from repro.core.env import env_float, env_int
 from repro.core.procutil import pid_alive
 from repro.lms.defs import Block, Stm
@@ -204,40 +204,25 @@ class DiskKernelCache:
     and acquisition retried once, after which :class:`CacheLockTimeout`
     is raised.
 
-    **Lock-held eviction.**  The entry count is bounded across all
-    shards by (hits, recency): every ``get`` records a hit count in the
-    manifest (and touches it), and eviction drops the least-hit entries
-    first, manifest mtime breaking ties.  Victims are dropped
-    shard-by-shard under each shard's lock.  Under
-    ``REPRO_POLICY=learned`` the ranking switches to a *decayed* hit
-    history (half-life ``REPRO_CACHE_HALF_LIFE`` seconds), so a
-    formerly-hot-now-dead kernel can actually be evicted ahead of a
-    currently-warm one (DESIGN.md §15).
-
-    **Batched hit write-back.**  Persisting the hit count used to cost
-    a write+fsync+rename on every ``get``; hits are now accumulated in
-    memory and flushed to the manifest every ``hit_flush`` hits per key
-    (``REPRO_CACHE_HIT_FLUSH``, default 16), and on eviction,
-    invalidation and :meth:`flush_hits`.  A crash loses at most
-    ``hit_flush - 1`` hits of popularity per key, never an artifact.
+    **Lock-held LRU eviction.**  The entry count is bounded across all
+    shards, least recently used first.  ``get`` touches both halves of
+    the entry it serves, so a manifest's mtime is its last read (or its
+    publish, if it was never read), and eviction drops the oldest
+    manifests shard-by-shard under each shard's lock.
     """
 
     def __init__(self, root: str | Path | None = None,
                  max_entries: int | None = None,
-                 lock_timeout: float | None = None,
-                 hit_flush: int | None = None) -> None:
+                 lock_timeout: float | None = None) -> None:
         self.root = Path(root).expanduser() if root is not None \
             else cache_root()
         self.max_entries = max_entries if max_entries is not None \
             else env_int("REPRO_CACHE_DISK_ENTRIES", 128, minimum=1)
         self.lock_timeout = lock_timeout if lock_timeout is not None \
             else env_float("REPRO_CACHE_LOCK_TIMEOUT", 10.0, minimum=0.01)
-        self.hit_flush = hit_flush if hit_flush is not None \
-            else env_int("REPRO_CACHE_HIT_FLUSH", 16, minimum=1)
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._pending: dict[str, int] = {}
         if self.root.is_dir():
             try:
                 self.recover()
@@ -322,7 +307,6 @@ class DiskKernelCache:
 
     def _drop_locked(self, key: str) -> None:
         """Remove both halves of ``key`` (caller holds the shard lock)."""
-        self._pending.pop(key, None)
         for p in self._paths(key):
             try:
                 p.unlink()
@@ -362,27 +346,9 @@ class DiskKernelCache:
                     self._miss()
                     obs.counter("cache.disk.corrupt_dropped")
                     return None
-                # record the hit so eviction can rank by popularity,
-                # not recency alone — but batch the manifest write-back:
-                # hits accumulate in memory and persist every
-                # ``hit_flush`` hits per key (and on eviction/
-                # invalidation/flush_hits), so a steady-state hot
-                # kernel stops paying a write+fsync+rename per call
-                pending = self._pending.get(key, 0) + 1
-                self._stamp_hits(meta, pending)
-                if pending >= self.hit_flush:
-                    try:
-                        self._publish_file(meta_path,
-                                           json.dumps(meta).encode())
-                        self._pending.pop(key, None)
-                    except OSError:
-                        # read-only store: recency via utime below
-                        self._pending[key] = pending
-                else:
-                    self._pending[key] = pending
                 for p in (so_path, meta_path):
                     try:
-                        os.utime(p)  # touch for LRU recency
+                        os.utime(p)  # last read: the LRU eviction rank
                     except OSError:
                         pass
                 self.hits += 1
@@ -397,11 +363,10 @@ class DiskKernelCache:
         A pure existence probe for planners (e.g. the service client's
         "is any ladder rung already published?" scan): no payload
         reads, no checksum validation, and — unlike :meth:`get` — no
-        hit-count bump or recency touch, so probing every ladder rung
-        cannot inflate the ``(hits, recency)`` eviction ranking with
-        non-serving hits.  A torn pair may answer ``True``; the
-        serving-path :meth:`get` still validates before anything is
-        linked.
+        recency touch, so probing every ladder rung cannot keep an
+        entry alive in the LRU order with reads that served nothing.
+        A torn pair may answer ``True``; the serving-path :meth:`get`
+        still validates before anything is linked.
         """
         so_path, meta_path = self._paths(key)
         try:
@@ -444,14 +409,6 @@ class DiskKernelCache:
             shard.mkdir(parents=True, exist_ok=True)
             meta = dict(meta)
             meta["checksum"] = hashlib.sha256(so_bytes).hexdigest()
-            if policy.recording():
-                # one unit of decayed history at publication: the
-                # compile that produced this artifact was itself
-                # demanded, so under learned eviction a fresh entry
-                # outranks a formerly-hot key whose decayed history
-                # has already died (raw-hits ranking is unchanged)
-                meta.setdefault("hist", 1.0)
-                meta.setdefault("hist_at", time.time())
             # Injected torn writes / media corruption mangle the payload
             # *after* the checksum is computed, exactly like a real torn
             # write: the manifest promises bytes the disk does not hold,
@@ -476,77 +433,6 @@ class DiskKernelCache:
             self._evict()
             return so_path
 
-    # -- batched hit write-back ----------------------------------------
-
-    @staticmethod
-    def _half_life() -> float:
-        return env_float("REPRO_CACHE_HALF_LIFE", 300.0, minimum=0.01)
-
-    def _stamp_hits(self, meta: dict, count: int) -> None:
-        """Fold ``count`` freshly-observed hits into ``meta`` in place:
-        the raw lifetime counter always, plus — while the policy layer
-        is recording — the exponentially-decayed history pair
-        (``hist``, ``hist_at``) that learned eviction ranks by."""
-        try:
-            meta["hits"] = int(meta.get("hits", 0)) + count
-        except (TypeError, ValueError):
-            meta["hits"] = count
-        if not policy.recording():
-            return
-        now = time.time()
-        try:
-            hist = float(meta.get("hist", 0.0))
-            hist_at = float(meta.get("hist_at", now))
-        except (TypeError, ValueError):
-            hist, hist_at = 0.0, now
-        age = max(0.0, now - hist_at)
-        meta["hist"] = hist * 0.5 ** (age / self._half_life()) + count
-        meta["hist_at"] = now
-
-    def _flush_key_locked(self, key: str, count: int) -> None:
-        """Fold ``count`` pending hits into ``key``'s manifest (caller
-        holds the shard lock).  The entry having vanished is fine: the
-        popularity of a dropped artifact is moot."""
-        _so_path, meta_path = self._paths(key)
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError):
-            return
-        if not isinstance(meta, dict):
-            return
-        self._stamp_hits(meta, count)
-        try:
-            self._publish_file(meta_path, json.dumps(meta).encode())
-        except OSError:
-            pass
-
-    def _flush_hits_locked(self) -> None:
-        pending, self._pending = self._pending, {}
-        if not pending:
-            return
-        by_shard: dict[Path, list[tuple[str, int]]] = {}
-        for key, count in pending.items():
-            by_shard.setdefault(self.shard_dir(key), []).append(
-                (key, count))
-        for shard, items in by_shard.items():
-            if not shard.is_dir():
-                continue
-            try:
-                lock = self._acquire_shard_lock(shard)
-            except CacheLockTimeout:
-                continue
-            try:
-                for key, count in items:
-                    self._flush_key_locked(key, count)
-            finally:
-                lock.release()
-        obs.counter("cache.disk.hit_flushes")
-
-    def flush_hits(self) -> None:
-        """Persist every batched hit count now (the close hook)."""
-        with self._lock:
-            self._flush_hits_locked()
-
     # -- eviction and recovery -----------------------------------------
 
     def _shards(self) -> list[Path]:
@@ -568,62 +454,34 @@ class DiskKernelCache:
 
     def _evict(self) -> None:
         """Bound the manifest count (callers hold ``self._lock``),
-        evicting by (hits, recency): the coldest entries go first, and
-        recency only breaks ties between equally-unpopular entries —
-        a once-written never-read artifact loses to a hot kernel no
-        matter how recently it was published.  Under
-        ``REPRO_POLICY=learned`` the rank is the decayed hit history
-        instead of the raw lifetime counter, so popularity that died
-        ``REPRO_CACHE_HALF_LIFE`` seconds ago no longer pins an entry.
+        evicting least recently used first: the rank is the manifest
+        mtime, which ``put`` sets and ``get`` refreshes, so no manifest
+        is read here.
 
-        The full read-and-rank pass used to run on *every* put; a
-        name-only census now gates it, so a store under its bound
-        never JSON-parses a manifest here (``cache.disk.evict_scans``
-        counts the expensive passes that actually ran).
+        A name-only census gates the scan, so a store under its bound
+        never stats a manifest here (``cache.disk.evict_scans`` counts
+        the passes that actually ran).
 
         Victim selection scans without locks (read-only); each victim
-        is then dropped under its shard's lock, re-checking existence —
-        a concurrent toucher losing an entry costs one recompile, never
-        a torn read.
+        is then dropped under its shard's lock — a concurrent toucher
+        losing an entry costs one recompile, never a torn read.
         """
         if self._count_manifests() <= self.max_entries:
             return
-        # rank on persisted counts: fold batched hits in first
-        self._flush_hits_locked()
         obs.counter("cache.disk.evict_scans")
-        learned = policy.acting()
-        now = time.time()
-        half_life = self._half_life()
-        entries: list[tuple[float, float, Path]] = []
+        entries: list[tuple[float, Path]] = []
         for shard in self._shards():
             try:
                 for meta_path in shard.glob("*.json"):
-                    mtime = meta_path.stat().st_mtime
-                    try:
-                        meta = json.loads(meta_path.read_text())
-                        hits = int(meta.get("hits", 0))
-                    except (OSError, ValueError, TypeError,
-                            AttributeError):
-                        meta, hits = {}, 0  # unreadable: evict first
-                    if learned:
-                        try:
-                            hist = float(meta.get("hist", hits))
-                            hist_at = float(meta.get("hist_at", mtime))
-                        except (TypeError, ValueError):
-                            hist, hist_at = float(hits), mtime
-                        age = max(0.0, now - hist_at)
-                        rank = hist * 0.5 ** (age / half_life)
-                    else:
-                        rank = float(hits)
-                    entries.append((rank, mtime, meta_path))
+                    entries.append((meta_path.stat().st_mtime, meta_path))
             except OSError:
                 continue
         excess = len(entries) - self.max_entries
         if excess <= 0:
             return
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
+        entries.sort()
         by_shard: dict[Path, list[str]] = {}
-        for _hits, _mtime, meta_path in entries[:excess]:
+        for _mtime, meta_path in entries[:excess]:
             by_shard.setdefault(meta_path.parent, []).append(
                 meta_path.stem)
         for shard, keys in by_shard.items():
@@ -699,8 +557,7 @@ class DiskKernelCache:
         return removed
 
     def __len__(self) -> int:
-        # shard census, not a bare */*.json glob: the policy table
-        # persists under <root>/policy/ and is not a cache entry
+        # shard census: only two-character shard directories hold entries
         return self._count_manifests()
 
 
@@ -713,13 +570,6 @@ class KernelCache:
     is counted when ``get_for`` comes back empty (the caller will
     compile); ``put_for`` only stores.  The ``disk`` property exposes
     the persistent artifact tier rooted at the current ``cache_root()``.
-
-    Under ``REPRO_POLICY=learned`` eviction switches from pure LRU to
-    a decayed-hit score (each access adds 1, prior score decays by
-    ``REPRO_POLICY_DECAY`` per global access tick), so one old burst
-    of hits cannot pin an entry forever, and a steadily-warm kernel
-    survives a one-shot scan that would have rotated it out of the LRU.
-    At ``REPRO_POLICY=off`` eviction is byte-for-byte the old LRU.
     """
 
     def __init__(self, maxsize: int | None = None) -> None:
@@ -730,9 +580,6 @@ class KernelCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._disk: DiskKernelCache | None = None
-        # decayed-hit history per key: (score, tick-of-last-access)
-        self._tick = 0
-        self._scores: dict[tuple[str, str], tuple[float, int]] = {}
 
     @property
     def disk(self) -> DiskKernelCache:
@@ -741,33 +588,6 @@ class KernelCache:
             if self._disk is None or self._disk.root != root:
                 self._disk = DiskKernelCache(root=root)
             return self._disk
-
-    def _bump_locked(self, key: tuple[str, str]) -> None:
-        """Decayed-hit bookkeeping: prior score decays one notch per
-        global access tick, then the fresh access adds 1."""
-        self._tick += 1
-        d = policy.decay()
-        score, at = self._scores.get(key, (0.0, self._tick))
-        self._scores[key] = \
-            (score * d ** (self._tick - at) + 1.0, self._tick)
-
-    def _coldest_locked(self, exclude: tuple[str, str]
-                        ) -> tuple[str, str]:
-        """The resident key with the lowest decayed score; insertion
-        order breaks ties (deterministic, matches LRU on a cold table).
-        ``exclude`` shields the just-inserted key — like LRU, a fresh
-        entry is never its own eviction victim."""
-        d = policy.decay()
-        best_key = None
-        best_score: float | None = None
-        for key in self._kernels:
-            if key == exclude:
-                continue
-            score, at = self._scores.get(key, (0.0, self._tick))
-            current = score * d ** (self._tick - at)
-            if best_score is None or current < best_score:
-                best_key, best_score = key, current
-        return best_key if best_key is not None else exclude
 
     def get_for(self, staged: StagedFunction, backend: str):
         key = (graph_hash(staged), backend)
@@ -778,8 +598,6 @@ class KernelCache:
             else:
                 self.hits += 1
                 self._kernels.move_to_end(key)
-                if policy.recording():
-                    self._bump_locked(key)
         obs.counter("cache.mem.hits" if kernel is not None
                     else "cache.mem.misses")
         return kernel
@@ -787,40 +605,19 @@ class KernelCache:
     def put_for(self, staged: StagedFunction, backend: str,
                 kernel: object) -> None:
         key = (graph_hash(staged), backend)
-        evicted_learned = 0
         with self._lock:
             self._kernels[key] = kernel
             self._kernels.move_to_end(key)
-            if policy.recording():
-                self._bump_locked(key)
             while len(self._kernels) > self._maxsize:
-                if policy.acting():
-                    victim = self._coldest_locked(exclude=key)
-                    self._kernels.pop(victim, None)
-                    self._scores.pop(victim, None)
-                    evicted_learned += 1
-                else:
-                    dropped, _ = self._kernels.popitem(last=False)
-                    self._scores.pop(dropped, None)
-        if evicted_learned:
-            obs.counter("cache.mem.evictions", evicted_learned,
-                        mode="learned")
+                self._kernels.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop the in-memory tier (the disk tier is untouched, but
-        its batched hit counts are flushed first)."""
+        """Drop the in-memory tier (the disk tier is untouched)."""
         with self._lock:
             self._kernels.clear()
-            self._scores.clear()
-            self._tick = 0
             self.hits = 0
             self.misses = 0
-            disk, self._disk = self._disk, None
-        if disk is not None:
-            try:
-                disk.flush_hits()
-            except OSError:
-                pass
+            self._disk = None
 
     def __len__(self) -> int:
         with self._lock:

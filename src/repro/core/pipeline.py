@@ -20,8 +20,7 @@ import repro.obs as obs
 from repro.codegen.cgen import emit_c_source
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
-from repro.core import policy
-from repro.core.batch import batch_enabled, default_batcher, execute_batch
+from repro.core.batch import execute_batch
 from repro.core.resilience import (
     CompileReport,
     KernelQuarantinedError,
@@ -80,11 +79,8 @@ class CompiledKernel:
         repr=False)
     opt_stats: OptStats | None = field(
         default=None, repr=False, compare=False)
-    policy_log: list = field(
-        default_factory=list, repr=False, compare=False)
     _impl: Any = field(default=None, repr=False, compare=False)
     _tier_job: Any = field(default=None, repr=False, compare=False)
-    _batcher: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self._impl is None:
@@ -99,9 +95,6 @@ class CompiledKernel:
         return self.staged.name
 
     def __call__(self, *args: Any) -> Any:
-        batcher = self._batcher
-        if batcher is not None:
-            return batcher.submit(self, args)
         return self._impl(*args)
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
@@ -129,11 +122,6 @@ class CompiledKernel:
                            detail: str = "") -> None:
         self.tier_events.append(
             TierEvent(action, tier, time.monotonic(), detail))
-
-    def _policy_note(self, note: str) -> None:
-        """Record one learned-policy decision this kernel received
-        (surfaced by :meth:`explain`)."""
-        self.policy_log.append(note)
 
     def _swap_to_native(self, native: NativeKernel,
                         report: CompileReport | None = None,
@@ -249,13 +237,6 @@ class CompiledKernel:
                     f"{ev.action:8s}-> {ev.tier}{suffix}")
         if self.fallback_reason:
             lines.append(f"fallback_reason: {self.fallback_reason}")
-        if self.policy_log:
-            lines.append("policy decisions:")
-            for note in self.policy_log:
-                lines.append(f"  {note}")
-        else:
-            lines.append(f"policy decisions: (none; "
-                         f"REPRO_POLICY={policy.policy_mode()})")
         if self.opt_stats is not None:
             lines.append("optimizer:")
             for ln in self.opt_stats.summary_lines():
@@ -300,8 +281,7 @@ def _shadow_args(args: Sequence[Any]) -> list[Any]:
     return shadow
 
 
-def _pick_backend(staged: StagedFunction, requested: str,
-                  notes: list[str] | None = None) -> tuple[
+def _pick_backend(staged: StagedFunction, requested: str) -> tuple[
         BackendKind, NativeKernel | None, str | None,
         CompileReport | None]:
     """Resolve the backend through the resilience layer.
@@ -312,39 +292,18 @@ def _pick_backend(staged: StagedFunction, requested: str,
     both :class:`CompileError`) degrade to the simulator under
     ``"auto"`` with the reason recorded, and propagate under
     ``"native"``.
-
-    Every settled ``"auto"``/``"native"`` probe records a per-family
-    backend verdict in the policy table; under ``REPRO_POLICY=learned``
-    a family whose probes keep failing (quarantine-prone, ladder
-    doomed) is routed straight to the simulator without paying the
-    native probe tax (DESIGN.md §15).  Explicit ``"native"`` requests
-    are never gated — the caller asked to see the failure.
     """
     if requested == "simulated":
         return BackendKind.SIMULATED, None, None, None
-    family = policy.family_of(staged.name)
-    if requested == "auto" and policy.acting():
-        gate = policy.native_backend_gate(family)
-        if gate is not None:
-            if notes is not None:
-                notes.append(gate)
-            return BackendKind.SIMULATED, None, gate, None
-    table = policy.get_policy() if policy.recording() else None
     try:
         native, report = acquire_native(staged)
-        if table is not None:
-            table.record(family, "backend", "native", True)
         return BackendKind.NATIVE, native, None, report
     except KernelQuarantinedError as exc:
-        if table is not None:
-            table.record(family, "backend", "native", False)
         if requested == "native":
             raise
         return (BackendKind.SIMULATED, None,
                 f"quarantined: {exc.reason}", exc.report)
     except (NativeLinkError, CompileError) as exc:
-        if table is not None:
-            table.record(family, "backend", "native", False)
         if requested == "native":
             raise
         return (BackendKind.SIMULATED, None, str(exc),
@@ -394,10 +353,6 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             cached = default_cache.get_for(pre_opt, requested)
             if cached is not None:
                 pipe_span.set("cache_source", "memory")
-                # One atomic store: cached kernels track the current
-                # REPRO_BATCH setting instead of the one at creation.
-                cached._batcher = default_batcher() \
-                    if batch_enabled() else None
                 return cached
         opt_stats: OptStats | None = None
         if opt_level > 0:
@@ -405,7 +360,6 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
                 staged, opt_stats = optimize_staged(staged, opt_level)
                 opt_span.set("eliminated", opt_stats.total_eliminated)
                 opt_span.set("iterations", opt_stats.iterations)
-        policy_notes: list[str] = []
         if deferred:
             # The HotSpot shape: the simulated tier serves immediately;
             # acquire_native runs on the manager's worker pool and the
@@ -414,8 +368,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             native = None
             reason = report = None
         else:
-            kind, native, reason, report = _pick_backend(
-                staged, requested, notes=policy_notes)
+            kind, native, reason, report = _pick_backend(staged, requested)
         c_source = native.c_source \
             if native is not None and native.c_source \
             else _try_emit_c(staged)
@@ -424,11 +377,8 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
         kernel = CompiledKernel(
             staged=staged, backend=kind, c_source=c_source,
             machine_kernel=machine_kernel, _native=native,
-            fallback_reason=reason, report=report,
-            opt_stats=opt_stats, policy_log=policy_notes,
+            fallback_reason=reason, report=report, opt_stats=opt_stats,
         )
-        if batch_enabled():
-            kernel._batcher = default_batcher()
         pipe_span.set("backend", kind.value)
         obs.counter("pipeline.backend", kind=kind.value)
         if reason is not None:

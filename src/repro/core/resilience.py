@@ -169,8 +169,6 @@ def clear_session_state() -> None:
         _quarantined.clear()
         _trusted.clear()
     faults.reset()
-    from repro.core import policy
-    policy.reset_tables()
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ from typing import Any, Callable, Sequence
 import repro.obs as obs
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
-from repro.core import policy
 from repro.core.cache import CompileJob, InflightCompiles, graph_hash
 from repro.core.env import env_float, env_int
 from repro.core.resilience import KernelQuarantinedError, acquire_native
@@ -454,24 +453,10 @@ class KernelManager:
     def manage(self, kernel, mode: str) -> None:
         """Install the tiered call path on a fresh simulated-tier
         kernel.  ``async`` promotes immediately; ``hot`` arms the
-        invocation countdown.
-
-        Under ``REPRO_POLICY=learned`` the ``hot`` countdown is not the
-        fixed :func:`hot_threshold` but a per-family learned value:
-        cheap-to-compile families promote after fewer calls, expensive
-        or promotion-failing ones later (DESIGN.md §15).  Admission
-        control — the circuit breaker, the queue bound — stays
-        downstream in :meth:`promote`, so an open breaker always wins
-        over any learned eagerness."""
+        invocation countdown."""
         kernel._record_tier_event("start", "simulated",
                                   detail=f"mode={mode}")
         countdown = None if mode == "async" else hot_threshold()
-        if countdown is not None and policy.acting():
-            family = policy.family_of(kernel.staged.name)
-            countdown, note = policy.learned_hot_threshold(
-                family, countdown)
-            if note:
-                kernel._policy_note(note)
         kernel._impl = SimulatedDispatch(kernel, self, countdown)
         obs.counter("tiered.managed", mode=mode)
         obs.tally(kernel, "tiered.calls", "tier", kernel.tier_calls)
@@ -578,15 +563,8 @@ class KernelManager:
             self.breaker.record_env_failure(probe=job.is_probe)
         else:
             self.breaker.record_other(probe=job.is_probe)
-        duration = time.perf_counter() - start
-        if policy.recording():
-            # the learned tier policy feeds on both halves: how long
-            # this family's compiles take, and whether promotion lands
-            table = policy.get_policy()
-            family = policy.family_of(staged.name)
-            table.record_value(family, "compile_cost", duration)
-            table.record(family, "tier", "promote", native is not None)
-        obs.observe("tiered.compile.seconds", duration)
+        obs.observe("tiered.compile.seconds",
+                    time.perf_counter() - start)
         trace = obs.get_tracer().spans_for_trace(trace_id) \
             if trace_id is not None else []
         kernels = self._inflight.settle(job.key)

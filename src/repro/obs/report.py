@@ -150,43 +150,6 @@ def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
     return lines
 
 
-_POLICY_MODE_NAMES = {0: "off", 1: "observe", 2: "learned"}
-
-
-def _policy_summary(counters: Mapping[str, float],
-                    gauges: Mapping[str, float]) -> list[str]:
-    """Learned-policy activity (see :mod:`repro.core.policy`): the
-    standing rows always print (zeros included), then per-kind decision
-    and override totals and the per-choice outcome table."""
-    lines: list[str] = []
-    mode = gauges.get("policy.mode")
-    if mode is not None:
-        lines.append("mode: "
-                     + _POLICY_MODE_NAMES.get(int(mode), f"code {mode}"))
-    records = sum(value for cell, value in counters.items()
-                  if cell.startswith("policy.records"))
-    lines.append(f"policy.records = {int(records)}")
-    for name in ("policy.decisions", "policy.overrides"):
-        total = sum(value for cell, value in counters.items()
-                    if cell.startswith(name + "{"))
-        lines.append(f"{name} = {int(total)}")
-        for cell, value in sorted(counters.items()):
-            if cell.startswith(name + "{"):
-                lines.append(f"  {cell} = {int(value)}")
-    lines.append("policy.load = " + (" ".join(
-        f"{cell} = {int(value)}" for cell, value in sorted(counters.items())
-        if cell.startswith("policy.load{")) or "none"))
-    lines.append(f"policy.flushes = "
-                 f"{int(counters.get('policy.flushes', 0.0))}")
-    outcome_cells = sorted((cell, value) for cell, value in counters.items()
-                           if cell.startswith("policy.outcomes{"))
-    if outcome_cells:
-        lines.append("outcomes by (kind, choice):")
-        for cell, value in outcome_cells:
-            lines.append(f"  {cell} = {int(value)}")
-    return lines
-
-
 def _service_summary(counters: Mapping[str, float]) -> list[str]:
     """Compile-service activity (daemon- and client-side): rendered
     only when a ``service.*`` family exists, but then every standing
@@ -242,9 +205,6 @@ def render_report(spans: Sequence[Span],
     out.append("")
     out.append("== resilience ==")
     out.extend(_resilience_summary(counters, gauges))
-    out.append("")
-    out.append("== policy ==")
-    out.extend(_policy_summary(counters, gauges))
     out.extend(_service_summary(counters))
     if gauges:
         out.append("")

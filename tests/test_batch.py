@@ -4,19 +4,18 @@ Covers DESIGN.md §13 end to end: the batch-vs-loop differential
 contract (bit-identical results, array mutations and simulator op
 accounting on both simulator engines and the native tier, including
 whole-batch sweep fallbacks and a deterministic mid-batch hot-swap),
-the ``KernelBatcher`` coalescing layer behind ``REPRO_BATCH=1``, and
-regressions for the three fixes riding along:
+and regressions for the three fixes riding along:
 
 * an expired compile deadline raises :class:`CompileDeadlineError`
   instead of clamping up and dispatching a doomed remote compile,
 * the hotness countdown promotes exactly once under threaded hammering,
 * :meth:`DiskKernelCache.contains` probes existence without reading
-  artifacts or inflating the ``(hits, recency)`` eviction ranking.
+  artifacts or refreshing the entry's LRU eviction rank.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import threading
 import time
 
@@ -25,14 +24,6 @@ import pytest
 
 import repro.core.batch as batch_mod
 from repro.core import compile_staged
-from repro.core.batch import (
-    KernelBatcher,
-    batch_enabled,
-    batch_max,
-    batch_window,
-    default_batcher,
-    execute_batch,
-)
 from repro.core.cache import DiskKernelCache, default_cache, graph_hash
 from repro.core.resilience import clear_session_state
 from repro.core.tiered import SimulatedDispatch
@@ -49,10 +40,9 @@ ENGINES = ("compiled", "tree")
 
 @pytest.fixture(autouse=True)
 def _pin_env(monkeypatch):
-    """Hermetic suite: ambient chaos/service/batch knobs (the CI matrix
-    sets them) must not perturb these exact assertions."""
-    for var in ("REPRO_FAULTS", "REPRO_SERVICE", "REPRO_BATCH",
-                "REPRO_BATCH_WINDOW", "REPRO_BATCH_MAX"):
+    """Hermetic suite: ambient chaos/service knobs (the CI matrix sets
+    them) must not perturb these exact assertions."""
+    for var in ("REPRO_FAULTS", "REPRO_SERVICE"):
         monkeypatch.delenv(var, raising=False)
 
 
@@ -254,7 +244,7 @@ class TestExecuteBatchTiers:
         """A hot-swap landing mid-batch takes effect on the next chunk
         boundary: the old tier finishes its chunk atomically, every
         later chunk runs native, and results stay bit-identical."""
-        monkeypatch.setenv("REPRO_BATCH_MAX", "4")
+        monkeypatch.setattr(batch_mod, "BATCH_MAX", 4)
         native_twin = compile_staged(scalar_saxpy, SAXPY_TYPES,
                                      name="batch_swap_native",
                                      backend="native", tier="sync",
@@ -289,168 +279,6 @@ class TestExecuteBatchTiers:
         for (a_loop, *_), (a_batch, *_) in zip(loop_entries,
                                                batch_entries):
             assert a_loop.tobytes() == a_batch.tobytes()
-
-
-# -- the coalescing batcher --------------------------------------------
-
-
-class _FakeStaged:
-    def __init__(self, mutated=()):
-        self._mutated = list(mutated)
-
-    def mutated_params(self):
-        return self._mutated
-
-
-class _FakeKernel:
-    """The minimal surface KernelBatcher touches: ``_impl`` and
-    ``staged.mutated_params()``."""
-
-    def __init__(self, impl, mutated=()):
-        self._impl = impl
-        self.staged = _FakeStaged(mutated)
-
-
-class TestKernelBatcher:
-    def test_coalesces_concurrent_callers(self, fresh_state,
-                                          monkeypatch):
-        kernel = compile_staged(fma_scalar, [FLOAT, FLOAT],
-                                name="batch_coalesce",
-                                backend="simulated", use_cache=False)
-        sizes = []
-        real = batch_mod.execute_batch
-
-        def counting(k, args_seq):
-            sizes.append(len(args_seq))
-            return real(k, args_seq)
-
-        monkeypatch.setattr(batch_mod, "execute_batch", counting)
-        batcher = KernelBatcher(window=0.05)
-        n_threads = 16
-        barrier = threading.Barrier(n_threads)
-        results: dict[int, object] = {}
-
-        def worker(i):
-            barrier.wait()
-            results[i] = batcher.submit(
-                kernel, (np.float32(i), np.float32(1.0)))
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert sum(sizes) == n_threads
-        assert len(sizes) < n_threads       # something coalesced
-        assert max(sizes) > 1
-        for i in range(n_threads):
-            assert np.float32(results[i]) == np.float32(i * 2.0 + 1.0)
-
-    def test_pure_kernel_replays_per_entry_on_flush_error(
-            self, monkeypatch):
-        def impl(x):
-            if x == 3:
-                raise ValueError("poisoned entry")
-            return x * 2
-
-        kernel = _FakeKernel(impl)
-        monkeypatch.setattr(
-            batch_mod, "execute_batch",
-            lambda *a, **k: (_ for _ in ()).throw(
-                RuntimeError("flush exploded")))
-        batcher = KernelBatcher(window=0.05)
-        barrier = threading.Barrier(4)
-        outcomes: dict[int, object] = {}
-
-        def worker(x):
-            barrier.wait()
-            try:
-                outcomes[x] = batcher.submit(kernel, (x,))
-            except Exception as exc:  # noqa: BLE001 - recorded
-                outcomes[x] = exc
-
-        threads = [threading.Thread(target=worker, args=(x,))
-                   for x in (1, 2, 3, 4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert outcomes[1] == 2 and outcomes[2] == 4
-        assert outcomes[4] == 8
-        assert isinstance(outcomes[3], ValueError)
-
-    def test_mutating_kernel_shares_flush_error(self, monkeypatch):
-        kernel = _FakeKernel(lambda a: None, mutated=["a"])
-        boom = RuntimeError("flush exploded")
-        monkeypatch.setattr(
-            batch_mod, "execute_batch",
-            lambda *a, **k: (_ for _ in ()).throw(boom))
-        batcher = KernelBatcher(window=0.05)
-        barrier = threading.Barrier(3)
-        outcomes = []
-
-        def worker():
-            barrier.wait()
-            try:
-                batcher.submit(kernel, ([1.0],))
-            except Exception as exc:  # noqa: BLE001 - recorded
-                outcomes.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(outcomes) == 3
-        assert all(exc is boom for exc in outcomes)
-
-    def test_single_entry_owns_its_error(self):
-        def impl(x):
-            raise ValueError("mine alone")
-
-        batcher = KernelBatcher(window=0.0)
-        with pytest.raises(ValueError, match="mine alone"):
-            batcher.submit(_FakeKernel(impl), (1,))
-
-    def test_repro_batch_routes_calls_through_batcher(
-            self, fresh_state, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        kernel = compile_staged(fma_scalar, [FLOAT, FLOAT],
-                                name="batch_env_route",
-                                backend="simulated")
-        assert kernel._batcher is default_batcher()
-        assert np.float32(kernel(np.float32(2.0), np.float32(1.0))) \
-            == np.float32(5.0)
-        # a cache hit re-resolves the knob: off means direct dispatch
-        monkeypatch.delenv("REPRO_BATCH")
-        again = compile_staged(fma_scalar, [FLOAT, FLOAT],
-                               name="batch_env_route",
-                               backend="simulated")
-        assert again is kernel
-        assert again._batcher is None
-
-    def test_env_knobs(self, monkeypatch):
-        assert batch_enabled() is False
-        for truthy in ("1", "true", "ON", "yes"):
-            monkeypatch.setenv("REPRO_BATCH", truthy)
-            assert batch_enabled() is True
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert batch_enabled() is False
-
-        assert batch_window() == 0.0
-        monkeypatch.setenv("REPRO_BATCH_WINDOW", "5.0")
-        assert batch_window() == 0.25        # clamped
-        monkeypatch.setenv("REPRO_BATCH_WINDOW", "0.01")
-        assert batch_window() == 0.01
-
-        assert batch_max() == 1024
-        monkeypatch.setenv("REPRO_BATCH_MAX", "0")
-        assert batch_max() == 1              # clamped
-        monkeypatch.setenv("REPRO_BATCH_MAX", "16")
-        assert batch_max() == 16
 
 
 # -- regression: the three bugfixes ------------------------------------
@@ -568,28 +396,24 @@ class TestCountdownRace:
 
 
 class TestContainsProbe:
-    def _hits_on_disk(self, cache, key):
-        meta_path = cache._paths(key)[1]
-        return int(json.loads(meta_path.read_text()).get("hits", 0))
-
     def test_contains_is_stat_only(self, tmp_path):
-        # hit_flush=1: publish every hit immediately so the manifest
-        # read below sees it (write-back batching is covered by
-        # test_cache_crossproc.py::test_hit_writeback_batches)
-        cache = DiskKernelCache(root=tmp_path / "disk", max_entries=8,
-                                hit_flush=1)
+        cache = DiskKernelCache(root=tmp_path / "disk", max_entries=8)
         key = DiskKernelCache.artifact_key("f" * 16, "gcc-13.0",
                                            ("-O2",), frozenset())
         cache.put(key, b"\x7fELF-not-really", {"name": "probe_me"})
-        baseline = self._hits_on_disk(cache, key)
+        meta_path = cache._paths(key)[1]
+        # backdate the manifest so a refresh is visible at any mtime
+        # granularity
+        stale = meta_path.stat().st_mtime_ns - 10**9
+        os.utime(meta_path, ns=(stale, stale))
 
         for _ in range(5):
             assert cache.contains(key) is True
-        assert self._hits_on_disk(cache, key) == baseline
+        assert meta_path.stat().st_mtime_ns == stale
         assert cache.hits == 0          # probes are not cache hits
 
         assert cache.get(key) is not None
-        assert self._hits_on_disk(cache, key) == baseline + 1
+        assert meta_path.stat().st_mtime_ns > stale
 
         assert cache.contains("no-such-key") is False
 

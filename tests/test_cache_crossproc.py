@@ -15,10 +15,12 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import repro.obs as obs
 from repro.core.cache import DiskKernelCache
 from tests._cache_hammer import KEYS, payload_for
 
@@ -111,60 +113,50 @@ def test_concurrent_hammer_never_tears(tmp_path):
             f"orphaned artifact survived recovery: {so_path.name}"
 
 
-def test_get_records_hits_in_manifest(tmp_path):
-    """Every ``get`` persists a hit count in the manifest (atomically,
-    checksum intact) — the popularity signal eviction ranks by.
-    ``hit_flush=1`` forces the per-get write-back; the batched default
-    is covered by ``test_hit_writeback_batches``."""
-    disk = DiskKernelCache(root=tmp_path / "c", max_entries=8,
-                           hit_flush=1)
-    key = KEYS[0]
-    disk.put(key, payload_for(key), {"who": "w"})
-    for expected in (1, 2, 3):
-        entry = disk.get(key)
-        assert entry is not None and entry.meta["hits"] == expected
-    meta = json.loads(
-        (disk.shard_dir(key) / f"{key}.json").read_text())
-    assert meta["hits"] == 3 and meta["who"] == "w"
-    assert meta["checksum"] == \
-        hashlib.sha256(payload_for(key)).hexdigest()
-    assert disk.get(key) is not None   # still checksum-valid
-
-
-def test_eviction_prefers_cold_entries_over_stale_ones(tmp_path):
-    """(hits, recency) eviction: a popular-but-stale entry outlives an
-    unpopular-but-fresh one — pure mtime LRU would pick the opposite
-    victim."""
-    import time as _time
+def test_eviction_is_lru_by_last_read(tmp_path):
+    """``get`` refreshes an entry's manifest mtime, so eviction drops
+    the least recently *read* entry, not the oldest publish."""
     disk = DiskKernelCache(root=tmp_path / "c", max_entries=2)
-    popular, fresh, trigger = KEYS[0], KEYS[1], KEYS[2]
-    disk.put(popular, payload_for(popular), {})
-    for _ in range(3):
-        disk.get(popular)
-    _time.sleep(0.02)
-    disk.put(fresh, payload_for(fresh), {})   # newer mtime, zero hits
-    _time.sleep(0.02)
-    disk.put(trigger, payload_for(trigger), {})   # forces one eviction
-    assert disk.get(popular) is not None, \
-        "the 3-hit entry was evicted despite a 0-hit candidate"
-    assert disk.get(fresh) is None
-    assert disk.get(trigger) is not None
+    a, b, c = KEYS[0], KEYS[1], KEYS[2]
+    disk.put(a, payload_for(a), {})
+    time.sleep(0.02)
+    disk.put(b, payload_for(b), {})
+    time.sleep(0.02)
+    assert disk.get(a) is not None     # A is now the most recent read
+    time.sleep(0.02)
+    disk.put(c, payload_for(c), {})    # forces one eviction
+    assert disk.get(b) is None
+    assert disk.get(a) is not None
+    assert disk.get(c) is not None
 
 
-def test_eviction_recency_breaks_hit_ties(tmp_path):
-    """Among equally-unpopular entries the oldest goes first — the old
-    LRU behaviour is the tie-break, not the rule."""
-    import time as _time
+def test_eviction_drops_the_oldest_unread_entry(tmp_path):
+    """With no reads, the publish time is the LRU rank: the oldest
+    entry goes first."""
     disk = DiskKernelCache(root=tmp_path / "c", max_entries=2)
     oldest, newer, trigger = KEYS[3], KEYS[4], KEYS[5]
     disk.put(oldest, payload_for(oldest), {})
-    _time.sleep(0.02)
+    time.sleep(0.02)
     disk.put(newer, payload_for(newer), {})
-    _time.sleep(0.02)
+    time.sleep(0.02)
     disk.put(trigger, payload_for(trigger), {})
     assert disk.get(oldest) is None
     assert disk.get(newer) is not None
     assert disk.get(trigger) is not None
+
+
+def test_census_gates_the_evict_scan(tmp_path):
+    """A put under the bound must not scan the manifests — the
+    eviction pass only runs past ``max_entries``."""
+    reg = obs.get_registry()
+    before = reg.counter_value("cache.disk.evict_scans")
+    disk = DiskKernelCache(root=tmp_path / "c", max_entries=4)
+    for key in KEYS[:4]:
+        disk.put(key, payload_for(key), {})
+    assert reg.counter_value("cache.disk.evict_scans") == before
+    disk.put(KEYS[4], payload_for(KEYS[4]), {})   # past the bound
+    assert reg.counter_value("cache.disk.evict_scans") == before + 1
+    assert len(list((tmp_path / "c").glob("*/*.json"))) == 4
 
 
 def test_two_processes_share_one_entry(tmp_path):

@@ -495,8 +495,6 @@ class TestChaosDifferential:
         if chaos_state.is_dir():
             DiskKernelCache(root=chaos_state).recover()
             assert not list(chaos_state.rglob("*.tmp"))
-            # [0-9a-f][0-9a-f]/: only cache shards — the policy
-            # table persists under <root>/policy/ with no .so twin
             for so in chaos_state.glob("[0-9a-f][0-9a-f]/*.so"):
                 assert so.with_suffix(".json").exists(), \
                     f"orphaned artifact {so.name} survived recovery"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -197,6 +198,24 @@ class TestRetryAndFallback:
         assert outcomes[0] == ("O3", "permanent")
         assert outcomes[-1] == ("O2", "ok")
         assert "-O2" in rep.flags
+
+    def test_failing_compiler_falls_through_to_the_next(
+            self, clean_state, tmp_path, monkeypatch):
+        """The chain is walked in its fixed order: an icc that always
+        fails is tried first, and the next compiler links."""
+        real_gcc = shutil.which("gcc")
+        assert real_gcc, "suite requires gcc"
+        icc = _fake_cc_always_fail(tmp_path)
+        monkeypatch.setenv("REPRO_CC", f"icc={icc},gcc={real_gcc}")
+        kernel = compile_staged(build_unique(5.5, "fallthrough_k"),
+                                [array_of(FLOAT), INT32],
+                                name="fallthrough_k", backend="native")
+        assert kernel.backend == BackendKind.NATIVE
+        attempts = kernel.report.attempts
+        assert (attempts[0].compiler, attempts[0].outcome) == \
+            ("icc", "permanent")
+        assert (attempts[-1].compiler, attempts[-1].outcome) == \
+            ("gcc", "ok")
 
     def test_compile_with_fallback_exhaustion_raises(self, tmp_path):
         bad = CompilerInfo("gcc", str(_fake_cc_always_fail(tmp_path)),

@@ -179,6 +179,20 @@ class TestKernelCache:
         assert cache.get_for(sfs[0], "simulated") is None  # evicted
         assert cache.get_for(sfs[2], "simulated") == "k2"
 
+    def test_lru_keeps_the_most_recent(self):
+        """Eviction is by recency alone: five hits do not save an entry
+        once another one was read after it."""
+        cache = KernelCache(maxsize=2)
+        sa, sb, sc = (self._staged_k(i) for i in (10, 11, 12))
+        cache.put_for(sa, "auto", "ka")
+        cache.put_for(sb, "auto", "kb")
+        for _ in range(5):
+            assert cache.get_for(sa, "auto") == "ka"
+        assert cache.get_for(sb, "auto") == "kb"   # most recent access
+        cache.put_for(sc, "auto", "kc")            # forces one eviction
+        assert cache.get_for(sa, "auto") is None
+        assert cache.get_for(sb, "auto") == "kb"
+
     def test_pipeline_reuses_kernels(self):
         def fn(a, n):
             forloop(0, n, step=1, body=lambda i: array_update(
