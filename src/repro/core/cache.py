@@ -73,13 +73,6 @@ def graph_hash(staged: StagedFunction) -> str:
     if cached is not None:
         return cached
     tokens: list[str] = [staged.name]
-    # The middle-end level is part of the cache identity: a level-2
-    # graph must never be served to a level-0 caller (and vice versa).
-    # Level 0 adds no token, keeping hashes identical to builds that
-    # predate the optimizer.
-    opt_level = getattr(staged, "opt_level", 0)
-    if opt_level:
-        tokens.append(f"opt:{opt_level}")
     tokens += [f"p:{p.id}:{p.tp.name}" for p in staged.params]
     _block_tokens(staged.body, tokens)
     digest = hashlib.sha256("\n".join(tokens).encode()).hexdigest()[:24]

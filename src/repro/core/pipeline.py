@@ -34,7 +34,7 @@ from repro.core.tiered import (
     get_manager,
     tier_mode,
 )
-from repro.lms.optimize import OptStats, effective_level, optimize_staged
+from repro.lms.optimize import OptStats, optimize_staged
 from repro.lms.staging import StagedFunction, stage_function
 from repro.lms.types import Type
 from repro.simd.machine import SimdMachine
@@ -242,7 +242,7 @@ class CompiledKernel:
             for ln in self.opt_stats.summary_lines():
                 lines.append(f"  {ln}")
         else:
-            lines.append("optimizer: (REPRO_OPT=0 or served from cache)")
+            lines.append("optimizer: (not run)")
         if self.report is not None:
             r = self.report
             lines.append(
@@ -342,11 +342,6 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
         with obs.span("stage"):
             staged = stage_function(fn, arg_types, name)
         pipe_span.set("kernel", staged.name)
-        # Stamp the effective middle-end level *before* the cache probe:
-        # graph_hash folds it in, so a kernel optimized at one level is
-        # never served to a caller running at another.
-        opt_level = effective_level()
-        staged.opt_level = opt_level
         pre_opt = staged
         if use_cache:
             from repro.core.cache import default_cache
@@ -354,12 +349,10 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             if cached is not None:
                 pipe_span.set("cache_source", "memory")
                 return cached
-        opt_stats: OptStats | None = None
-        if opt_level > 0:
-            with obs.span("opt", level=opt_level) as opt_span:
-                staged, opt_stats = optimize_staged(staged, opt_level)
-                opt_span.set("eliminated", opt_stats.total_eliminated)
-                opt_span.set("iterations", opt_stats.iterations)
+        with obs.span("opt") as opt_span:
+            staged, opt_stats = optimize_staged(staged)
+            opt_span.set("eliminated", opt_stats.total_eliminated)
+            opt_span.set("iterations", opt_stats.iterations)
         if deferred:
             # The HotSpot shape: the simulated tier serves immediately;
             # acquire_native runs on the manager's worker pool and the

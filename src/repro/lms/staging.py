@@ -29,12 +29,6 @@ class StagedFunction:
     body: Block
     effects: Effects
     builder: IRBuilder = field(repr=False)
-    # Effective middle-end optimization level this graph was (or is about
-    # to be) processed at (see repro.lms.optimize).  Part of the cache
-    # identity: repro.core.cache.graph_hash appends a level token when
-    # non-zero, so a level-0 artifact is never served to a level-2
-    # caller.  Level 0 leaves hashes identical to pre-optimizer builds.
-    opt_level: int = field(default=0, compare=False)
     # Per-instance memos (never compared, never printed): the scheduled
     # body, the structural graph hash (repro.core.cache.graph_hash) and
     # the closure-compiled executor program (repro.simd.exec).

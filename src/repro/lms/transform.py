@@ -178,5 +178,4 @@ def remirror_function(staged, t: Transformer):
     return StagedFunction(
         name=staged.name, params=new_params,
         param_names=list(staged.param_names), body=body,
-        effects=effects, builder=builder,
-        opt_level=getattr(staged, "opt_level", 0))
+        effects=effects, builder=builder)

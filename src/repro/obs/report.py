@@ -134,8 +134,8 @@ def _resilience_summary(counters: Mapping[str, float],
 
 def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
     """Middle-end activity (see :mod:`repro.lms.optimize`).  Standing
-    rows always print — zeros included — so a report from a
-    ``REPRO_OPT=0`` run diffs cleanly against an optimized one."""
+    rows always print — zeros included — so a report from a run that
+    optimized nothing diffs cleanly against one that did."""
     lines: list[str] = []
     lines.append(f"opt.runs = {int(counters.get('opt.runs', 0.0))}")
     eliminated = sorted((cell, value) for cell, value in counters.items()
@@ -144,9 +144,7 @@ def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
     lines.append(f"opt.eliminated = {int(total)}")
     for cell, value in eliminated:
         lines.append(f"  {cell} = {int(value)}")
-    for name in ("opt.folds", "opt.hoisted", "opt.forwarded_loads",
-                 "opt.forwarded_reads"):
-        lines.append(f"{name} = {int(counters.get(name, 0.0))}")
+    lines.append(f"opt.hoisted = {int(counters.get('opt.hoisted', 0.0))}")
     return lines
 
 

@@ -153,6 +153,10 @@ class KernelCompileDaemon:
         self._inflight: dict[str, _ServiceJob] = {}
         self._stopping = False
         self._started = False
+        # set while nothing runs: cleared by start, set once stop has
+        # torn everything down
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._workroot: Path | None = None
         self._build_seq = itertools.count()
         self._counts = {key: 0 for key in (
@@ -211,6 +215,7 @@ class KernelCompileDaemon:
         self._workroot = Path(tempfile.mkdtemp(prefix="repro-serve-"))
         self._stopping = False
         self._started = True
+        self._stopped.clear()
         self.started_at = time.monotonic()
         accept = threading.Thread(target=self._accept_loop,
                                   name="repro-serve-accept", daemon=True)
@@ -238,16 +243,29 @@ class KernelCompileDaemon:
             self._started = False
             self._stopping = True
             self._cond.notify_all()
+        try:
+            self._teardown()
+        finally:
+            self._stopped.set()
+
+    def _teardown(self) -> None:
         listener, self._listener = self._listener, None
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does, so the join below is immediate
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:
                 pass
         # unlink the address first: from here on no client can reach a
         # dying daemon, and a crash later in teardown leaves no stale
-        # socket behind
-        for leftover in (self.socket_path, self.pid_file):
+        # socket behind.  The pid file goes just before the socket, so
+        # an observer that sees the socket gone sees both gone.
+        for leftover in (self.pid_file, self.socket_path):
             try:
                 leftover.unlink()
             except OSError:
@@ -288,14 +306,14 @@ class KernelCompileDaemon:
         obs.event("service.stop", socket=str(self.socket_path))
 
     def serve_forever(self) -> None:
-        """Start (if needed) and block until :meth:`stop` runs."""
+        """Start (if needed) and block until :meth:`stop` has finished.
+        The ``__main__`` entry exits right after this returns, and a
+        process that exits mid-teardown (the ``shutdown`` verb tears
+        down on another thread) leaves its socket and pid file behind."""
         self.start()
         try:
-            while True:
-                with self._cond:
-                    if self._stopping:
-                        return
-                    self._cond.wait(timeout=1.0)
+            while not self._stopped.wait(timeout=1.0):
+                pass
         except KeyboardInterrupt:
             self.stop()
 

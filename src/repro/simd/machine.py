@@ -15,13 +15,12 @@ Two execution engines share this front door:
   hash.
 * ``tree`` — the reference tree-walking interpreter below, kept
   bit-identical to the compiled engine and selectable with
-  ``REPRO_SIM_EXEC=tree`` or ``SimdMachine(executor="tree")`` for
-  differential testing and debugging.
+  ``SimdMachine(executor="tree")`` for differential testing and
+  debugging.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from typing import Any, Sequence
@@ -125,12 +124,6 @@ def scalar_binop(rhs: BinaryOp, a: Any, b: Any) -> Any:
     return out
 
 
-def default_executor() -> str:
-    """The engine used when ``SimdMachine(executor=...)`` is not given:
-    ``REPRO_SIM_EXEC``, defaulting to ``compiled``."""
-    return os.environ.get("REPRO_SIM_EXEC", "compiled")
-
-
 _WIDTH_PREFIXES = (("_mm512", 512), ("_mm256", 256), ("_mm", 128))
 
 
@@ -156,7 +149,7 @@ class SimdMachine:
     """Interprets staged functions over numpy memory."""
 
     def __init__(self, seed: int = 0x5EED, profile: bool | None = None,
-                 executor: str | None = None):
+                 executor: str = "compiled"):
         self.rng = random.Random(seed)
         self.tsc = 0
         self.op_counts: Counter[str] = Counter()
@@ -166,13 +159,12 @@ class SimdMachine:
         # the REPRO_OBS_PROFILE environment switch (off).
         self._profile = obs.profile_enabled() if profile is None \
             else profile
-        engine = executor if executor is not None else default_executor()
-        if engine not in _EXECUTORS:
+        if executor not in _EXECUTORS:
             raise ValueError(
-                f"unknown simulator executor {engine!r}; "
+                f"unknown simulator executor {executor!r}; "
                 f"expected one of {_EXECUTORS}"
             )
-        self.executor = engine
+        self.executor = executor
 
     # -- public API ----------------------------------------------------------
 

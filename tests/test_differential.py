@@ -3,11 +3,13 @@
 Classic compiler validation, twice over:
 
 * native C backend vs the SIMD machine — generate random (but
-  well-defined) staged scalar kernels, compile them through gcc/clang,
-  and require bit-exact agreement with the simulator.  Shift counts are
-  masked at staging time and division is excluded, so every generated
-  program has one defined meaning; ``-fwrapv`` gives signed wraparound
-  the same semantics in C as in the graph.
+  well-defined) staged scalar kernels, optimize them as
+  ``compile_staged`` does, compile the result through gcc/clang, and
+  require bit-exact agreement with both the raw and the optimized graph
+  on both simulator engines.  Shift counts are masked at staging time
+  and division is excluded, so every generated program has one defined
+  meaning; ``-fwrapv`` gives signed wraparound the same semantics in C
+  as in the graph.
 * closure-compiled executor vs the reference tree interpreter — random
   kernels over every control-flow node kind (for/if/while, variables,
   select, convert, array reads/writes) must produce identical results,
@@ -34,8 +36,9 @@ from repro.lms.ops import (
     select,
 )
 from repro.lms.control import if_then_else, while_loop
+from repro.lms.optimize import optimize_staged
 from repro.lms.types import FLOAT, INT32, array_of
-from repro.simd.machine import SimdMachine, execute_staged
+from repro.simd.machine import SimdMachine
 from tests.conftest import requires_compiler
 
 _INT_BINOPS = ("+", "-", "*", "&", "|", "^")
@@ -112,6 +115,18 @@ def _build_kernel(choices: list[int], as_float: bool):
     return stage_function(fn, [INT32, INT32, FLOAT], name)
 
 
+def _check_native_agrees(staged, args, bits):
+    """Native code for the graph ``compile_staged`` ships (the optimized
+    one) must match the raw and the optimized graph on both engines."""
+    opt, _ = optimize_staged(staged)
+    kernel = compile_to_native(opt)
+    native = bits(kernel(*args))
+    for graph in (staged, opt):
+        for engine in ("tree", "compiled"):
+            simulated = bits(SimdMachine(executor=engine).run(graph, args))
+            assert native == simulated, (engine, kernel.c_source)
+
+
 @requires_compiler
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -120,10 +135,8 @@ def _build_kernel(choices: list[int], as_float: bool):
        b=st.integers(-(2**31), 2**31 - 1))
 def test_integer_kernels_agree(choices, a, b):
     staged = _build_kernel(choices, as_float=False)
-    kernel = compile_to_native(staged)
-    native = kernel(a, b, 0.0)
-    simulated = execute_staged(staged, [a, b, 0.0])
-    assert np.int32(native) == simulated, kernel.c_source
+    _check_native_agrees(staged, [a, b, 0.0],
+                         lambda v: np.int32(v).tobytes())
 
 
 @requires_compiler
@@ -135,10 +148,8 @@ def test_integer_kernels_agree(choices, a, b):
        x=st.floats(-100.0, 100.0, width=32, allow_nan=False))
 def test_float_kernels_agree_bitwise(choices, a, b, x):
     staged = _build_kernel(choices, as_float=True)
-    kernel = compile_to_native(staged)
-    native = np.float32(kernel(a, b, x))
-    simulated = np.float32(execute_staged(staged, [a, b, x]))
-    assert native.tobytes() == simulated.tobytes(), kernel.c_source
+    _check_native_agrees(staged, [a, b, x],
+                         lambda v: np.float32(v).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 Three layers of assurance:
 
 * per-pass unit tests — CSE collapses duplicate intrinsics (but never
-  may-trap nodes), LICM hoists invariants, folding matches the machine
-  semantics bit-for-bit (C truncating division, declined NaN/inf folds),
-  forwarding eliminates redundant loads while any store invalidates,
-  DCE never drops stores, and float-unsafe identities stay un-rewritten;
-* randomized differential sweeps — optimized-at-level-2 vs unoptimized
-  graphs must agree on results, mutated arrays and raised exception
-  types, on both simulator engines, for the same generated kernels the
-  engine-equivalence suite uses, plus the real paper kernels;
-* plumbing — ``REPRO_OPT`` gating, cache keys that incorporate the
-  level, ``explain()`` and the ``== optimizer ==`` report section.
+  may-trap nodes), LICM hoists invariants but never moves a memory read
+  past a write that may change it, DCE never drops stores, and
+  float-unsafe identities stay un-rewritten;
+* randomized differential sweeps — the pipeline ``compile_staged``
+  runs vs unoptimized graphs must agree on results, mutated arrays and
+  raised exception types, on both simulator engines, for the same
+  generated kernels the engine-equivalence suite uses, plus the real
+  paper kernels;
+* plumbing — the one pipeline level, ``explain()`` and the
+  ``== optimizer ==`` report section.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.lms.ops import (
     binary,
     convert,
     reflect_mutable,
-    select,
 )
 from repro.lms.optimize import (
     OptStats,
@@ -92,7 +91,7 @@ class TestCse:
 
         staged = stage_function(fn, [array_of(FLOAT), INT32], "cse_k")
         assert len(_intrinsic_stms(staged.body, "_mm256_set1_ps")) == 2
-        opt, _ = optimize_staged(staged, 1)
+        opt, _ = optimize_staged(staged)
         assert len(_intrinsic_stms(opt.body, "_mm256_set1_ps")) == 1
         a = np.zeros(8, np.float32)
         SimdMachine(executor="tree").run(opt, [a, np.int32(3)])
@@ -113,7 +112,7 @@ class TestCse:
         divs0 = [s for s, _ in _walk(staged.body)
                  if isinstance(s.rhs, BinaryOp) and s.rhs.op == "/"]
         assert len(divs0) == 2
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         divs = [s for s, _ in _walk(opt.body)
                 if isinstance(s.rhs, BinaryOp) and s.rhs.op == "/"]
         assert len(divs) == 2
@@ -138,7 +137,7 @@ class TestCse:
         staged = stage_function(fn, [array_of(FLOAT), FLOAT, INT32],
                                 "licm_k")
         before = _loop_body_len(staged)
-        opt, stats = optimize_staged(staged, 1)
+        opt, stats = optimize_staged(staged)
         assert stats.hoisted >= 1
         assert _loop_body_len(opt) < before
         # The hoisted set1 sits before the loop at top level.
@@ -165,60 +164,6 @@ class TestCse:
         assert moved == 0
 
 
-class TestFold:
-    def test_c_truncating_division(self):
-        """Folded division must truncate toward zero (C), not floor
-        (Python): the same value both engines compute at run time."""
-
-        def fn(n):
-            return binary("/", n * 0 - 7, 2)
-
-        staged = stage_function(fn, [INT32], "cdiv_k")
-        opt, _ = optimize_staged(staged, 2)
-        got = SimdMachine(executor="tree").run(opt, [np.int32(5)])
-        assert int(got) == -3
-        unopt = SimdMachine(executor="tree").run(staged, [np.int32(5)])
-        assert int(got) == int(unopt)
-
-    def test_convert_and_select_fold(self):
-        def fn(n):
-            c = convert(Const(2.75, FLOAT), INT32)  # -> 2
-            return select(binary("<", n * 0, 1), c + 1, c)
-
-        staged = stage_function(fn, [INT32], "csel_k")
-        opt, stats = optimize_staged(staged, 2)
-        assert isinstance(opt.body.result, Const)
-        assert int(opt.body.result.value) == 3
-        got = SimdMachine(executor="tree").run(opt, [np.int32(9)])
-        assert int(got) == 3
-
-    def test_scalar_intrinsic_folds_through_machine_semantics(self):
-        cir = load_isas("POPCNT")
-
-        def fn(n):
-            return binary("+", cir._mm_popcnt_u32(n * 0 + 255), n * 0)
-
-        staged = stage_function(fn, [INT32], "pop_k")
-        opt, stats = optimize_staged(staged, 2)
-        got = SimdMachine(executor="tree").run(opt, [np.int32(1)])
-        assert int(got) == 8
-        assert stats.folds >= 1
-
-    def test_non_finite_folds_declined(self):
-        """1e30f * 1e30f overflows float32 to inf; the fold is declined
-        (no exact C literal) and the runtime computes it instead."""
-
-        def fn(x):
-            big = x * 0.0 + 1.0  # keeps x in the graph
-            return big * Const(1e30, FLOAT) * Const(1e30, FLOAT)
-
-        staged = stage_function(fn, [FLOAT], "inf_k")
-        opt, _ = optimize_staged(staged, 2)
-        got = SimdMachine(executor="tree").run(opt, [np.float32(1.0)])
-        ref = SimdMachine(executor="tree").run(staged, [np.float32(1.0)])
-        assert np.float32(got).tobytes() == np.float32(ref).tobytes()
-
-
 class TestFloatSafety:
     def test_plus_zero_not_rewritten(self):
         """x + 0.0 maps -0.0 to +0.0, so it must survive."""
@@ -227,7 +172,7 @@ class TestFloatSafety:
             return x + 0.0
 
         staged = stage_function(fn, [FLOAT], "pz_k")
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         got = SimdMachine(executor="tree").run(opt, [np.float32(-0.0)])
         assert np.float32(got).tobytes() == np.float32(0.0).tobytes()
         adds = [s for s, _ in _walk(opt.body)
@@ -239,7 +184,7 @@ class TestFloatSafety:
             return (x - 0.0) * 1.0
 
         staged = stage_function(fn, [FLOAT], "mz_k")
-        opt, stats = optimize_staged(staged, 2)
+        opt, stats = optimize_staged(staged)
         for v in (-0.0, float("nan"), float("inf"), 1.5):
             got = np.float32(SimdMachine(executor="tree").run(
                 opt, [np.float32(v)]))
@@ -254,7 +199,7 @@ class TestFloatSafety:
             return x * 0.0
 
         staged = stage_function(fn, [FLOAT], "fz_k")
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         got = SimdMachine(executor="tree").run(opt, [np.float32("inf")])
         assert np.isnan(got)
 
@@ -262,15 +207,15 @@ class TestFloatSafety:
 class TestTrapPreservation:
     def test_dead_division_still_raises(self):
         """q = a / b is unused after ``q * 0 -> 0`` would fire — but q
-        is tainted, so the rewrite declines and div-by-zero raises at
-        every level, exactly like the unoptimized graph."""
+        is tainted, so the rewrite declines and div-by-zero still
+        raises, exactly like the unoptimized graph."""
 
         def fn(a, b):
             q = binary("/", a, b)
             return q * 0
 
         staged = stage_function(fn, [INT32, INT32], "trap_k")
-        for level in (0, 1, 2):
+        for level in (0, 1):
             opt, _ = optimize_staged(staged, level)
             with pytest.raises(ZeroDivisionError):
                 SimdMachine(executor="tree").run(
@@ -291,29 +236,12 @@ class TestTrapPreservation:
 
 
 class TestForwarding:
-    def test_redundant_scalar_loads_collapse(self):
-        def fn(a, out, n):
-            reflect_mutable(out)
-
-            def body(i):
-                x = array_apply(a, i)
-                y = array_apply(a, i)
-                array_update(out, i, x + y)
-
-            forloop(0, n, step=1, body=body)
-
-        staged = stage_function(
-            fn, [array_of(INT32), array_of(INT32), INT32], "rload_k")
-        opt, stats = optimize_staged(staged, 2)
-        assert stats.forwarded_loads >= 1
-        a = np.arange(6, dtype=np.int32)
-        out = np.zeros(6, dtype=np.int32)
-        SimdMachine(executor="tree").run(opt, [a, out, np.int32(6)])
-        assert out.tolist() == [0, 2, 4, 6, 8, 10]
+    """The middle-end forwards no memory values, but GVN merging and
+    LICM could still move a read past a write that changes it."""
 
     def test_store_invalidates_aliasable_load(self):
-        """A store to *any* array kills forwarding for all arrays: the
-        two parameters may be the same numpy array at run time."""
+        """The two parameters may be the same numpy array at run time,
+        so the read after the store to ``b`` must stay a re-load."""
 
         def fn(a, b, n):
             reflect_mutable(b)
@@ -323,41 +251,11 @@ class TestForwarding:
 
         staged = stage_function(
             fn, [array_of(INT32), array_of(INT32), INT32], "alias_k")
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         buf = np.array([10, 20], dtype=np.int32)
         got = SimdMachine(executor="tree").run(
             opt, [buf, buf, np.int32(2)])
         assert int(got) == 11
-
-    def test_store_to_load_forwarding_same_address(self):
-        def fn(a, n):
-            reflect_mutable(a)
-            array_update(a, 1, n * 2)
-            return array_apply(a, 1)
-
-        staged = stage_function(fn, [array_of(INT32), INT32], "stl_k")
-        opt, stats = optimize_staged(staged, 2)
-        assert stats.forwarded_loads >= 1
-        a = np.zeros(4, dtype=np.int32)
-        got = SimdMachine(executor="tree").run(opt, [a, np.int32(21)])
-        assert int(got) == 42 and a[1] == 42
-
-    def test_vector_load_forwarding(self):
-        def fn(a, out, n):
-            reflect_mutable(out)
-            v1 = _CIR._mm256_loadu_ps(a, 0)
-            v2 = _CIR._mm256_loadu_ps(a, 0)
-            _CIR._mm256_storeu_ps(out, _CIR._mm256_add_ps(v1, v2), 0)
-
-        staged = stage_function(
-            fn, [array_of(FLOAT), array_of(FLOAT), INT32], "vload_k")
-        assert len(_intrinsic_stms(staged.body, "_mm256_loadu_ps")) == 2
-        opt, stats = optimize_staged(staged, 2)
-        assert len(_intrinsic_stms(opt.body, "_mm256_loadu_ps")) == 1
-        a = np.arange(8, dtype=np.float32)
-        out = np.zeros(8, dtype=np.float32)
-        SimdMachine(executor="tree").run(opt, [a, out, np.int32(8)])
-        assert out.tolist() == [2.0 * i for i in range(8)]
 
     def test_var_read_forwarding_respects_loop(self):
         def fn(n):
@@ -370,16 +268,13 @@ class TestForwarding:
             return acc.get() + acc.get()
 
         staged = stage_function(fn, [INT32], "var_k")
-        opt, stats = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         got = SimdMachine(executor="tree").run(opt, [np.int32(5)])
         assert int(got) == 20
-        # the two reads after the loop forward to one
-        assert stats.forwarded_reads >= 1
 
     def test_loop_body_never_forwards_across_iterations(self):
-        """a[i] written this iteration, a[0] read each iteration: the
-        body scope starts empty, so iteration i must re-load a[0]
-        (which iteration 0 overwrote)."""
+        """a[i] written this iteration, a[0] read each iteration:
+        iteration i must re-load a[0] (which iteration 0 overwrote)."""
 
         def fn(a, n):
             reflect_mutable(a)
@@ -392,7 +287,7 @@ class TestForwarding:
             return seed
 
         staged = stage_function(fn, [array_of(INT32), INT32], "iter_k")
-        for level in (0, 2):
+        for level in (0, 1):
             opt, _ = optimize_staged(staged, level)
             a = np.array([5, 0, 0], dtype=np.int32)
             SimdMachine(executor="tree").run(opt, [a, np.int32(3)])
@@ -409,7 +304,7 @@ class TestDce:
             del dead
 
         staged = stage_function(fn, [array_of(INT32), INT32], "dce_k")
-        opt, _ = optimize_staged(staged, 1)
+        opt, _ = optimize_staged(staged)
         stores = [s for s, _ in _walk(opt.body)
                   if isinstance(s.rhs, ArrayUpdate)]
         assert stores
@@ -419,7 +314,7 @@ class TestDce:
 
 
 # ---------------------------------------------------------------------------
-# Differential sweeps: level 2 vs level 0, both engines.
+# Differential sweeps: optimized vs unoptimized, both engines.
 # ---------------------------------------------------------------------------
 
 
@@ -438,7 +333,7 @@ def _run_one(staged, arr, n, engine):
        data=st.lists(st.integers(-100, 100), min_size=1, max_size=24))
 def test_control_kernels_bit_identical_both_engines(choices, data):
     staged = _build_control_kernel(choices)
-    opt, _ = optimize_staged(staged, 2)
+    opt, _ = optimize_staged(staged)
     n = len(data)
     for engine in ("tree", "compiled"):
         a0 = np.array(data, dtype=np.int32)
@@ -462,7 +357,7 @@ def test_control_kernels_bit_identical_both_engines(choices, data):
 def test_scalar_kernels_bit_identical(choices, a, b, x):
     for as_float in (False, True):
         staged = _build_kernel(choices, as_float)
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         from repro.simd.machine import execute_staged
         ref = execute_staged(staged, [a, b, x])
         got = execute_staged(opt, [a, b, x])
@@ -480,7 +375,7 @@ class TestKernelCorpus:
     def test_saxpy(self, engine, rng):
         n = 24
         staged = make_staged_saxpy()
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         a0 = rng.normal(size=n).astype(np.float32)
         b = rng.normal(size=n).astype(np.float32)
         a_ref, a_opt = a0.copy(), a0.copy()
@@ -494,7 +389,7 @@ class TestKernelCorpus:
     def test_mmm(self, engine, rng):
         n = 8
         staged = make_staged_mmm()
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         a = rng.normal(size=(n, n)).astype(np.float32).ravel()
         b = rng.normal(size=(n, n)).astype(np.float32).ravel()
         c_ref = np.zeros(n * n, dtype=np.float32)
@@ -503,24 +398,30 @@ class TestKernelCorpus:
         SimdMachine(executor=engine).run(opt, [a, b, c_opt, np.int32(n)])
         assert c_ref.tobytes() == c_opt.tobytes()
 
-    @pytest.mark.parametrize("bits", [32, 8])
+    @pytest.mark.parametrize("bits", [32, 16, 8, 4])
     def test_quant_dot(self, bits, rng):
+        """Every Fig. 7 precision, on both engines."""
         n = dot_ps_step(bits) * 2
         staged = make_staged_dot(bits)
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         if bits == 32:
             a = rng.normal(size=n).astype(np.float32)
             b = rng.normal(size=n).astype(np.float32)
-            args_ref = [a, b, np.int32(n)]
-            args_opt = [a.copy(), b.copy(), np.int32(n)]
+            args = [a, b, np.int32(n)]
+        elif bits == 16:
+            a = rng.normal(size=n).astype(np.float16).view(np.int16)
+            b = rng.normal(size=n).astype(np.float16).view(np.int16)
+            args = [a, b, np.int32(n)]
         else:
-            a = rng.integers(-127, 127, size=n, dtype=np.int8)
-            b = rng.integers(-127, 127, size=n, dtype=np.int8)
-            args_ref = [a, b, np.float32(1.0), np.int32(n)]
-            args_opt = [a.copy(), b.copy(), np.float32(1.0), np.int32(n)]
-        ref = SimdMachine(executor="tree").run(staged, args_ref)
-        got = SimdMachine(executor="tree").run(opt, args_opt)
-        assert np.float32(ref).tobytes() == np.float32(got).tobytes()
+            # one value per byte at 8 bits, two packed nibbles at 4
+            size = n if bits == 8 else n // 2
+            a = rng.integers(-127, 127, size=size, dtype=np.int8)
+            b = rng.integers(-127, 127, size=size, dtype=np.int8)
+            args = [a, b, np.float32(1.0), np.int32(n)]
+        for engine in ("tree", "compiled"):
+            ref = SimdMachine(executor=engine).run(staged, args)
+            got = SimdMachine(executor=engine).run(opt, args)
+            assert np.float32(ref).tobytes() == np.float32(got).tobytes()
 
 
 @requires_compiler
@@ -532,7 +433,7 @@ class TestNativeTier:
 
         n = 24
         staged = make_staged_saxpy()
-        opt, _ = optimize_staged(staged, 2)
+        opt, _ = optimize_staged(staged)
         kernel = compile_to_native(opt)
         a0 = rng.normal(size=n).astype(np.float32)
         b = rng.normal(size=n).astype(np.float32)
@@ -544,23 +445,17 @@ class TestNativeTier:
 
 
 # ---------------------------------------------------------------------------
-# Plumbing: env gate, cache keys, explain, report.
+# Plumbing: the level, explain, report.
 # ---------------------------------------------------------------------------
 
 
 class TestPlumbing:
-    def test_effective_level(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OPT", raising=False)
+    def test_effective_level(self):
+        staged = stage_function(lambda n: n + 0, [INT32], "lvl_k")
         assert effective_level() == 1
-        monkeypatch.setenv("REPRO_OPT", "0")
-        assert effective_level() == 0
-        monkeypatch.setenv("REPRO_OPT", "2")
-        assert effective_level() == 2
-        monkeypatch.setenv("REPRO_OPT", "9")
-        assert effective_level() == 2
-        monkeypatch.setenv("REPRO_OPT", "junk")
-        assert effective_level() == 1
-        assert effective_level(0) == 0  # explicit argument wins
+        assert optimize_staged(staged)[1].level == effective_level()
+        with pytest.raises(ValueError, match="level"):
+            optimize_staged(staged, 2)
 
     def test_level_zero_returns_input_unchanged(self):
         def fn(n):
@@ -571,20 +466,7 @@ class TestPlumbing:
         assert opt is staged
         assert stats.level == 0 and stats.total_eliminated == 0
 
-    def test_graph_hash_incorporates_level(self):
-        from repro.core.cache import graph_hash
-
-        def fn(n):
-            return n * 2
-
-        h = {}
-        for level in (0, 1, 2):
-            staged = stage_function(fn, [INT32], "hash_k")
-            staged.opt_level = level
-            h[level] = graph_hash(staged)
-        assert len(set(h.values())) == 3
-
-    def test_pipeline_respects_opt_env(self, monkeypatch):
+    def test_pipeline_always_optimizes(self):
         from repro.core import compile_staged
         from repro.core.cache import default_cache
 
@@ -592,20 +474,15 @@ class TestPlumbing:
             return (n + 0) * 1
 
         default_cache.clear()
-        monkeypatch.setenv("REPRO_OPT", "0")
-        k0 = compile_staged(fn, [INT32], name="env_k",
-                            backend="simulated")
-        monkeypatch.setenv("REPRO_OPT", "1")
-        k1 = compile_staged(fn, [INT32], name="env_k",
-                            backend="simulated")
-        assert k0 is not k1  # level is part of the cache key
-        assert k0.opt_stats is None
-        assert k1.opt_stats is not None and k1.opt_stats.level == 1
-        assert count_statements(k1.staged.body) < \
-            count_statements(k0.staged.body)
-        assert int(k0(np.int32(7))) == int(k1(np.int32(7))) == 7
-        assert "optimizer:" in k1.explain()
-        assert "level=1" in k1.explain()
+        raw = stage_function(fn, [INT32], "pipe_k")
+        k = compile_staged(fn, [INT32], name="pipe_k",
+                           backend="simulated")
+        assert k.opt_stats is not None and k.opt_stats.level == 1
+        assert count_statements(k.staged.body) < \
+            count_statements(raw.body)
+        assert int(k(np.int32(7))) == 7
+        assert "optimizer:" in k.explain()
+        assert "level=1" in k.explain()
         default_cache.clear()
 
     def test_report_optimizer_section_prints_zeros(self):
@@ -624,16 +501,16 @@ class TestPlumbing:
             return (n + 0) * 1
 
         staged = stage_function(fn, [INT32], "obs_k")
-        optimize_staged(staged, 1)
+        optimize_staged(staged)
         counters = obs.get_registry().snapshot()["counters"]
         obs.reset()
         assert counters.get("opt.runs", 0) >= 1
         assert any(c.startswith("opt.eliminated") for c in counters)
 
     def test_stats_summary_lines(self):
-        stats = OptStats(level=2, iterations=2, stms_before=10,
+        stats = OptStats(level=1, iterations=2, stms_before=10,
                          stms_after=4,
                          eliminated={"simplify": 4, "dce": 2})
         text = "\n".join(stats.summary_lines())
-        assert "level=2" in text and "10 -> 4" in text
+        assert "level=1" in text and "10 -> 4" in text
         assert "simplify" in text and "dce" in text

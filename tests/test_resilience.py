@@ -320,8 +320,7 @@ class TestSmokeAndQuarantine:
         staged = stage_function(fn, [array_of(FLOAT), INT32], "q_k")
         # The pipeline quarantined the post-middle-end graph; reproduce
         # the same preprocessing to hit the same quarantine key.
-        from repro.lms.optimize import effective_level, optimize_staged
-        staged.opt_level = effective_level()
+        from repro.lms.optimize import optimize_staged
         staged, _ = optimize_staged(staged)
         with pytest.raises(KernelQuarantinedError) as exc:
             acquire_native(staged)

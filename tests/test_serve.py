@@ -311,6 +311,55 @@ def test_clear_session_state_stops_embedded_daemon(serve_env):
     assert not protocol.pid_path(serve_env).exists()
 
 
+def test_idle_daemon_stop_is_prompt(serve_env):
+    """stop() wakes the thread blocked in accept() instead of waiting
+    out its join timeout with that thread still blocked."""
+    daemon = KernelCompileDaemon(workers=1)
+    daemon.start()
+    accept = [t for t in daemon._threads
+              if t.name == "repro-serve-accept"]
+    assert len(accept) == 1 and accept[0].is_alive()
+    t0 = time.monotonic()
+    daemon.stop()
+    assert time.monotonic() - t0 < 1.0
+    assert not accept[0].is_alive()
+
+
+def test_serve_forever_returns_after_teardown(serve_env, monkeypatch):
+    """The ``__main__`` entry exits once serve_forever() returns; when
+    the shutdown verb's thread is still tearing down, returning early
+    left the socket and pid file behind."""
+    import shutil
+    import types
+
+    import repro.serve.daemon as daemon_mod
+
+    release = threading.Event()
+
+    def gated_rmtree(path, ignore_errors=False):
+        release.wait(10)
+        shutil.rmtree(path, ignore_errors=ignore_errors)
+
+    monkeypatch.setattr(daemon_mod, "shutil",
+                        types.SimpleNamespace(rmtree=gated_rmtree))
+    daemon = KernelCompileDaemon(workers=1)
+    serving = threading.Thread(target=daemon.serve_forever)
+    serving.start()
+    deadline = time.monotonic() + 10
+    while not daemon.running and time.monotonic() < deadline:
+        time.sleep(0.01)
+    stopper = threading.Thread(target=daemon.stop)
+    stopper.start()
+    serving.join(0.3)
+    assert serving.is_alive()       # teardown is parked in rmtree
+    release.set()
+    for thread in (stopper, serving):
+        thread.join(10)
+        assert not thread.is_alive()
+    assert not serve_env.exists()
+    assert not protocol.pid_path(serve_env).exists()
+
+
 # -- the failure matrix through the manager ---------------------------
 
 def test_require_demotes_when_unreachable(serve_env, monkeypatch):

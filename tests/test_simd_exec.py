@@ -22,7 +22,6 @@ from repro.simd.machine import ExecutionError, SimdMachine
 
 @pytest.fixture(autouse=True)
 def fresh_state(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_EXEC", raising=False)
     monkeypatch.delenv("REPRO_OBS", raising=False)
     monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
     obs.reset()
@@ -50,14 +49,6 @@ def _stage_saxpy_like(base_isas):
 class TestExecutorSelection:
     def test_default_is_compiled(self):
         assert SimdMachine().executor == "compiled"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", "tree")
-        assert SimdMachine().executor == "tree"
-
-    def test_param_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", "tree")
-        assert SimdMachine(executor="compiled").executor == "compiled"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown simulator executor"):

@@ -1,4 +1,8 @@
-"""Executing staged graphs on the SIMD machine."""
+"""Executing staged graphs on the SIMD machine.
+
+Each test runs on the default ``compiled`` engine; the ``*Tree``
+subclasses at the bottom rerun it on the reference ``tree`` engine.
+"""
 
 import numpy as np
 import pytest
@@ -8,60 +12,67 @@ from repro.lms.ops import Variable, array_apply, array_update, convert
 from repro.lms.types import (
     FLOAT, INT16, INT32, INT8, UINT32, array_of,
 )
-from repro.simd.machine import ExecutionError, SimdMachine, execute_staged
+from repro.simd.machine import ExecutionError, SimdMachine
 
 
-class TestScalarSemantics:
+class _OnEngine:
+    executor = "compiled"
+
+    def execute(self, staged, args):
+        return SimdMachine(executor=self.executor).run(staged, args)
+
+
+class TestScalarSemantics(_OnEngine):
     def test_int32_wraps(self):
         def fn(a):
             return a + 1
 
         sf = stage_function(fn, [INT32])
-        assert int(execute_staged(sf, [2**31 - 1])) == -(2**31)
+        assert int(self.execute(sf, [2**31 - 1])) == -(2**31)
 
     def test_c_division_truncates_toward_zero(self):
         def fn(a, b):
             return a / b
 
         sf = stage_function(fn, [INT32, INT32])
-        assert int(execute_staged(sf, [-7, 2])) == -3
-        assert int(execute_staged(sf, [7, -2])) == -3
+        assert int(self.execute(sf, [-7, 2])) == -3
+        assert int(self.execute(sf, [7, -2])) == -3
 
     def test_c_modulo_sign(self):
         def fn(a, b):
             return a % b
 
         sf = stage_function(fn, [INT32, INT32])
-        assert int(execute_staged(sf, [-7, 2])) == -1
-        assert int(execute_staged(sf, [7, 2])) == 1
+        assert int(self.execute(sf, [-7, 2])) == -1
+        assert int(self.execute(sf, [7, 2])) == 1
 
     def test_sub_int_promotion(self):
         def fn(a, b):
             return a * b  # int8 * int8 promotes to 32 bits
 
         sf = stage_function(fn, [INT8, INT8])
-        assert int(execute_staged(sf, [100, 100])) == 10000
+        assert int(self.execute(sf, [100, 100])) == 10000
 
     def test_float_conversion(self):
         def fn(a):
             return convert(a, INT32)
 
         sf = stage_function(fn, [FLOAT])
-        assert int(execute_staged(sf, [3.9])) == 3
+        assert int(self.execute(sf, [3.9])) == 3
 
     def test_unsigned_wraps(self):
         def fn(a):
             return a + 1
 
         sf = stage_function(fn, [UINT32])
-        assert int(execute_staged(sf, [2**32 - 1])) == 0
+        assert int(self.execute(sf, [2**32 - 1])) == 0
 
 
-class TestArgumentChecking:
+class TestArgumentChecking(_OnEngine):
     def test_wrong_arity(self):
         sf = stage_function(lambda a: a, [INT32])
         with pytest.raises(ExecutionError):
-            execute_staged(sf, [1, 2])
+            self.execute(sf, [1, 2])
 
     def test_dtype_mismatch(self):
         def fn(a):
@@ -69,7 +80,7 @@ class TestArgumentChecking:
 
         sf = stage_function(fn, [array_of(FLOAT)])
         with pytest.raises(ExecutionError, match="dtype"):
-            execute_staged(sf, [np.zeros(4, dtype=np.float64)])
+            self.execute(sf, [np.zeros(4, dtype=np.float64)])
 
     def test_array_required(self):
         def fn(a):
@@ -77,10 +88,10 @@ class TestArgumentChecking:
 
         sf = stage_function(fn, [array_of(FLOAT)])
         with pytest.raises(ExecutionError, match="numpy array"):
-            execute_staged(sf, [3.0])
+            self.execute(sf, [3.0])
 
 
-class TestOpCounting:
+class TestOpCounting(_OnEngine):
     def test_counts_intrinsics(self, base_isas):
         cir = base_isas
 
@@ -92,14 +103,14 @@ class TestOpCounting:
             forloop(0, n, step=8, body=body)
 
         sf = stage_function(fn, [array_of(FLOAT), INT32])
-        m = SimdMachine()
+        m = SimdMachine(executor=self.executor)
         m.run(sf, [np.ones(32, dtype=np.float32), 32])
         assert m.op_counts["simd._mm256_loadu_ps"] == 4
         assert m.op_counts["simd._mm256_add_ps"] == 4
         assert m.op_counts["simd._mm256_storeu_ps"] == 4
 
 
-class TestEndToEndKernels:
+class TestEndToEndKernels(_OnEngine):
     def test_saxpy_tail_handling(self, base_isas):
         from repro.kernels import make_staged_saxpy
 
@@ -108,7 +119,7 @@ class TestEndToEndKernels:
             a = np.arange(max(n, 1), dtype=np.float32)
             b = np.ones(max(n, 1), dtype=np.float32)
             ref = a + 0.5 * b
-            execute_staged(sf, [a, b, 0.5, n])
+            self.execute(sf, [a, b, 0.5, n])
             assert np.allclose(a[:n], ref[:n]), n
             if n < a.size:
                 assert a[n:].tolist() == \
@@ -138,7 +149,7 @@ class TestEndToEndKernels:
         rng = np.random.default_rng(0)
         a = rng.normal(size=64).astype(np.float32)
         b = rng.normal(size=64).astype(np.float32)
-        got = execute_staged(sf, [a, b, 64])
+        got = self.execute(sf, [a, b, 64])
         assert np.isclose(float(got), float(np.dot(a, b)), rtol=1e-5)
 
     def test_fp16_pipeline(self, base_isas):
@@ -155,5 +166,21 @@ class TestEndToEndKernels:
         xs = np.array([0.5, 1.5, -2.25, 8, 0.125, -1, 3, 7],
                       dtype=np.float16)
         dst = np.zeros(8, dtype=np.float32)
-        execute_staged(sf, [xs.view(np.int16), dst, 8])
+        self.execute(sf, [xs.view(np.int16), dst, 8])
         assert np.array_equal(dst, xs.astype(np.float32))
+
+
+class TestScalarSemanticsTree(TestScalarSemantics):
+    executor = "tree"
+
+
+class TestArgumentCheckingTree(TestArgumentChecking):
+    executor = "tree"
+
+
+class TestOpCountingTree(TestOpCounting):
+    executor = "tree"
+
+
+class TestEndToEndKernelsTree(TestEndToEndKernels):
+    executor = "tree"
