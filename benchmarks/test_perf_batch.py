@@ -1,14 +1,14 @@
 """Batched execution performance: amortizing the per-call boundary tax.
 
 The numbers behind DESIGN.md §13: one batched dispatch replaces N
-managed-to-native boundary crossings (native tier: one ctypes call
-over a packed ``void**`` table) or N interpreter walks (simulated
-tier: one whole-batch numpy sweep).  Amortized per-call latency is
-measured through the same ``call_batch`` API at batch sizes 1, 32 and
-1024 on both tiers; the acceptance bar — hard-asserted here — is that
-batch 1024 beats batch 1 per call on both tiers.  Absolute speedups
-are tracked through ``BENCH_batch.json``, not asserted, so a loaded
-CI box cannot flake the suite.
+managed-to-native boundary crossings (native tier: one call of the
+generated extension over a packed ``void**`` table) or N interpreter
+walks (simulated tier: one whole-batch numpy sweep).  Amortized
+per-call latency is measured through the same ``call_batch`` API at
+batch sizes 1, 32 and 1024 on both tiers; the acceptance bar —
+hard-asserted here — is that batch 1024 beats batch 1 per call on both
+tiers.  Absolute speedups are tracked through ``BENCH_batch.json``, not
+asserted, so a loaded CI box cannot flake the suite.
 """
 
 from __future__ import annotations
@@ -19,18 +19,13 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_series, series_entry, write_bench_json
-from repro.codegen.compiler import inspect_system
 from repro.core import compile_staged
 from repro.core.cache import default_cache
 from repro.core.resilience import clear_session_state
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
-
-requires_compiler = pytest.mark.skipif(
-    inspect_system().best_compiler is None,
-    reason="no C compiler on this host",
-)
+from tests.conftest import requires_compiler
 
 N = 8                                  # tiny kernel: boundary-dominated
 BATCH_SIZES = (1, 32, 1024)

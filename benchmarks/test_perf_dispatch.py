@@ -8,14 +8,16 @@ milliseconds (hard-asserted < 50 ms, the acceptance bar) while the
 native compile runs in the background; ``compile_many`` fans N ladder
 walks across the worker pool.  The warm-call micro-benchmark times four
 things interleaved best-of-N, so machine noise hits them alike: a plain
-``NativeKernel`` call, the legacy re-derive-ctypes-per-call loop, the
-bare ctypes call with pre-marshalled arguments (the floor) and
-``call_batch`` at n=1.  Everything lands in ``BENCH_dispatch.json``,
-including ``call_over_floor`` (a plain call over the floor) and
-``batch1_over_call`` (``call_batch`` at n=1 over a plain call); the only
-hard gates are the 50 ms first-call bound and "the plan does not lose"
-to the legacy loop — speedup targets are tracked through the JSON, not
-asserted, so a loaded CI box cannot flake the suite.
+``NativeKernel`` call (the generated extension glue), the legacy
+re-derive-ctypes-per-call loop, the bare ctypes call of the raw kernel
+symbol with arguments pre-marshalled by ``marshalling_plan`` (the
+floor) and ``call_batch`` at n=1.  Everything lands in
+``BENCH_dispatch.json``, including ``call_over_floor`` (a plain call
+over the floor, below 1 since the glue replaced ctypes on the call
+path) and ``batch1_over_call`` (``call_batch`` at n=1 over a plain
+call); the only hard gates are the 50 ms first-call bound and "the plan
+does not lose" to the legacy loop — speedup targets are tracked through
+the JSON, not asserted, so a loaded CI box cannot flake the suite.
 """
 
 from __future__ import annotations
@@ -27,19 +29,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import print_series, write_bench_json
-from repro.codegen.compiler import inspect_system
-from repro.codegen.native import _CTYPE_BY_SCALAR
+from repro.codegen.native import _CTYPE_BY_SCALAR, marshalling_plan
 from repro.core import BackendKind, compile_many, compile_staged, wait_all
 from repro.core.cache import default_cache
 from repro.core.resilience import clear_session_state
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, ArrayType, array_of
-
-requires_compiler = pytest.mark.skipif(
-    inspect_system().best_compiler is None,
-    reason="no C compiler on this host",
-)
+from tests.conftest import requires_compiler
 
 N = 8
 ROUNDS = 20000
@@ -123,8 +120,10 @@ def test_perf_dispatch(monkeypatch, tmp_path):
         # -- warm native call overhead against named baselines ---------
         native = async_k._native
         args = (np.ones(N, np.float32), N)
-        floor_args = tuple(value if address is None else address(value)
-                           for address, value in zip(native._plan, args))
+        floor_args = tuple(
+            value if address is None else address(value)
+            for address, value in zip(marshalling_plan(native.staged),
+                                      args))
         calls = {
             "plan": lambda: native(*args),
             "legacy": lambda: _legacy_native_call(native, args),

@@ -23,14 +23,9 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import print_series, write_bench_json
-from repro.codegen.compiler import inspect_system
 from repro.serve.client import request
 from repro.serve.daemon import KernelCompileDaemon
-
-requires_compiler = pytest.mark.skipif(
-    inspect_system().best_compiler is None,
-    reason="no C compiler on this host",
-)
+from tests.conftest import requires_compiler
 
 CLIENT_COUNTS = (1, 4, 16)
 

@@ -14,7 +14,8 @@ The package rebuilds the paper's entire system in Python:
 * :mod:`repro.simd` — a bit-accurate SIMD machine executing staged
   graphs (the simulated-native backend);
 * :mod:`repro.codegen` — the C backend: unparser, compiler discovery,
-  CPUID inspection, ctypes linking (the JNI analog);
+  CPUID inspection, and linking through a generated CPython extension
+  per kernel (the JNI analog);
 * :mod:`repro.jvm` — MiniVM, the managed-runtime baseline: Java-typed
   kernels, bytecode interpreter with profiling, tiered C1/C2 JIT with an
   SLP autovectorizer (and its HotSpot-documented limits);

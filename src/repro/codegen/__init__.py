@@ -3,9 +3,9 @@
 The runtime half of the paper's Figure 3: unparse the staged computation
 graph to C (building block 4), inspect the system (CPUID-derived ISAs,
 available compilers and flags), compile a shared library, and link it
-back into the managed runtime — here via ``ctypes``, the Python analog of
-JNI, including the automatic name binding the paper implements with Scala
-macros and reflection.
+back into the managed runtime — here as a generated CPython extension
+per kernel, the Python analog of JNI glue, including the automatic name
+binding the paper implements with Scala macros and reflection.
 """
 
 from repro.codegen.cgen import emit_c_source

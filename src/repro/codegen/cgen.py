@@ -212,26 +212,33 @@ EXPORT_PREFIX = "repro_native_"
 BATCH_SUFFIX = "__batch"
 
 
+def _row_call(staged: StagedFunction, fn_name: str, row: str) -> str:
+    """``fn_name`` applied to one argument row: ``row[j]`` holds an
+    array's data pointer, or points at a scalar's value."""
+    casts = []
+    for j, sym in enumerate(staged.params):
+        cell = f"{row}[{j}]"
+        if isinstance(sym.tp, ArrayType):
+            casts.append(f"({c_type_of(sym.tp)}){cell}")
+        else:
+            casts.append(f"*({c_type_of(sym.tp)}*){cell}")
+    return f"{fn_name}({', '.join(casts)})"
+
+
 def emit_batch_wrapper(staged: StagedFunction, fn_name: str) -> str:
     """The batched entry point: one native call executing ``n`` packed
     argument sets (DESIGN.md §13).
 
     ``argv`` is a flat ``void*[n * nargs]`` table — array arguments
     contribute their data pointers directly (zero-copy), scalars point
-    into the caller's packed arena — and non-void results land in
+    into cells the extension glue packs — and non-void results land in
     ``out`` (an ``n``-element array of the result type).  The wrapper
     is what lets the managed side amortize the Python→native boundary
-    tax across a whole batch: N invocations cost one ctypes call.
+    tax across a whole batch: N invocations cost one crossing of the
+    generated CPython extension (see :func:`emit_extension_glue`).
     """
     nargs = len(staged.params)
-    casts = []
-    for j, sym in enumerate(staged.params):
-        cell = f"repro_a[{j}]"
-        if isinstance(sym.tp, ArrayType):
-            casts.append(f"({c_type_of(sym.tp)}){cell}")
-        else:
-            casts.append(f"*({c_type_of(sym.tp)}*){cell}")
-    call = f"{fn_name}({', '.join(casts)})"
+    call = _row_call(staged, fn_name, "repro_a")
     ret_c = c_type_of(staged.result_type)
     if isinstance(staged.result_type, VoidType):
         store = f"{call};"
@@ -253,6 +260,365 @@ def emit_batch_wrapper(staged: StagedFunction, fn_name: str) -> str:
     )
 
 
+#: Struct-module codes a buffer may carry for each NumPy dtype kind and
+#: itemsize (``l`` is 8 bytes on LP64 hosts and 4 on LLP64 ones; the
+#: glue checks the itemsize too).
+_BUFFER_FORMATS = {
+    "f": {4: "f", 8: "d"},
+    "b": {1: "?"},
+    "i": {1: "b", 2: "h", 4: "il", 8: "lq"},
+    "u": {1: "B", 2: "H", 4: "IL", 8: "LQ"},
+}
+
+_GLUE_HELPERS = r"""
+/* ---- CPython extension glue (DESIGN.md §10): the generated JNI analog */
+
+/* The glue is calls into the C API: at the kernel's -O3 and ISA flags
+   it cost each gcc run ~50 ms more than at -O1, for no measurable
+   call-time gain.  The kernel above keeps its flags. */
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC optimize ("O1")
+#endif
+
+typedef struct {
+    PyObject *ndarray;   /* numpy.ndarray, bound at link time */
+    PyObject *plan;      /* marshalling_plan(staged): the slow path */
+} repro_state;
+
+/* One scalar argument, packed by value. */
+typedef union {
+    double d;
+    int64_t q;
+    void *p;
+} repro_cell;
+
+static repro_state *
+repro_bound(PyObject *module)
+{
+    repro_state *st = PyModule_GetState(module);
+    if (st == NULL || st->plan == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "kernel glue used before bind()");
+        return NULL;
+    }
+    return st;
+}
+
+/* One array argument.  The fast path takes an exact ndarray whose
+   buffer is C-contiguous, writable, non-empty and of the element type;
+   anything else goes to plan[j], which raises the boundary's error or
+   returns the address to use. */
+static int
+repro_array(repro_state *st, Py_ssize_t j, PyObject *v,
+            const char *formats, Py_ssize_t itemsize, Py_buffer *view,
+            void **addr)
+{
+    PyObject *address;
+    if (Py_IS_TYPE(v, (PyTypeObject *)st->ndarray)) {
+        if (PyObject_GetBuffer(v, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
+                               | PyBUF_WRITABLE) == 0) {
+            const char *f = view->format;
+            if (view->len > 0 && view->itemsize == itemsize && f != NULL
+                    && f[0] != '\0' && f[1] == '\0'
+                    && strchr(formats, f[0]) != NULL) {
+                *addr = view->buf;
+                return 0;
+            }
+            PyBuffer_Release(view);
+        } else {
+            PyErr_Clear();
+        }
+        view->obj = NULL;
+    }
+    address = PyObject_CallOneArg(PyTuple_GET_ITEM(st->plan, j), v);
+    if (address == NULL)
+        return -1;
+    *addr = PyLong_AsVoidPtr(address);
+    Py_DECREF(address);
+    return *addr == NULL && PyErr_Occurred() ? -1 : 0;
+}
+
+static PyObject *
+repro_arity(Py_ssize_t got)
+{
+    PyErr_Format(PyExc_TypeError, "%s expects %d arguments, got %zd",
+                 REPRO_NAME, REPRO_NARGS, got);
+    return NULL;
+}
+
+static PyObject *
+repro_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    repro_state *st = PyModule_GetState(self);
+    PyObject *old_ndarray, *old_plan;
+    if (st == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "kernel glue has no state");
+        return NULL;
+    }
+    if (nargs != 2 || !PyType_Check(args[0]) || !PyTuple_Check(args[1])
+            || PyTuple_GET_SIZE(args[1]) != REPRO_NARGS) {
+        PyErr_SetString(PyExc_TypeError, "bind(ndarray, plan) takes a "
+                        "type and one plan entry per parameter");
+        return NULL;
+    }
+    old_ndarray = st->ndarray;
+    old_plan = st->plan;
+    Py_INCREF(args[0]);
+    st->ndarray = args[0];
+    Py_INCREF(args[1]);
+    st->plan = args[1];
+    Py_XDECREF(old_ndarray);
+    Py_XDECREF(old_plan);
+    Py_RETURN_NONE;
+}
+"""
+
+_GLUE_MODULE = r"""
+static int
+repro_traverse(PyObject *m, visitproc visit, void *arg)
+{
+    repro_state *st = PyModule_GetState(m);
+    if (st != NULL) {
+        Py_VISIT(st->ndarray);
+        Py_VISIT(st->plan);
+    }
+    return 0;
+}
+
+static int
+repro_clear(PyObject *m)
+{
+    repro_state *st = PyModule_GetState(m);
+    if (st != NULL) {
+        Py_CLEAR(st->ndarray);
+        Py_CLEAR(st->plan);
+    }
+    return 0;
+}
+
+static void
+repro_free(void *m)
+{
+    repro_clear((PyObject *)m);
+}
+
+static PyMethodDef repro_methods[] = {
+    {"call", (PyCFunction)(void (*)(void))repro_call, METH_FASTCALL,
+     "Call the kernel once."},
+    {"call_batch", repro_call_batch, METH_O,
+     "Call the kernel on each argument tuple of a sequence, in one "
+     "crossing; nothing runs if any entry is refused."},
+    {"bind", (PyCFunction)(void (*)(void))repro_bind, METH_FASTCALL,
+     "bind(ndarray, plan): the array type and the slow path."},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef repro_module = {
+    PyModuleDef_HEAD_INIT, REPRO_NAME, NULL, sizeof(repro_state),
+    repro_methods, NULL, repro_traverse, repro_clear, repro_free,
+};
+
+PyMODINIT_FUNC
+PyInit_REPRO_SYMBOL(void)
+{
+    return PyModuleDef_Init(&repro_module);
+}
+"""
+
+
+def _to_python(tp: ScalarType, value: str) -> str:
+    """The C expression converting a kernel result to a Python object,
+    the value ``ctypes`` would have returned for it."""
+    if tp.is_float:
+        return f"PyFloat_FromDouble((double)({value}))"
+    if tp.name == "Boolean":
+        return f"PyBool_FromLong((long)({value}))"
+    if tp.signed:
+        return f"PyLong_FromLongLong((long long)(int{tp.bits}_t)({value}))"
+    return (f"PyLong_FromUnsignedLongLong("
+            f"(unsigned long long)(uint{tp.bits}_t)({value}))")
+
+
+def _marshal_param(j: int, sym: Sym, cell: int) -> list[str]:
+    """The glue lines marshalling argument ``j`` into ``row[j]``."""
+    tp = sym.tp
+    if isinstance(tp, ArrayType):
+        size = tp.elem.np_dtype.itemsize
+        formats = _BUFFER_FORMATS[tp.elem.np_dtype.kind][size]
+        return [f"if (repro_array(st, {j}, args[{j}], \"{formats}\", "
+                f"{size}, &views[{cell}], &row[{j}]) < 0)",
+                "    return -1;"]
+    c = c_type_of(tp)
+    if tp.is_float:
+        lines = [f"d = PyFloat_AsDouble(args[{j}]);",
+                 "if (d == -1.0 && PyErr_Occurred())",
+                 "    return -1;",
+                 f"*({c} *)&cells[{cell}] = ({c})d;"]
+    elif tp.name == "Boolean":
+        lines = [f"t = PyObject_IsTrue(args[{j}]);",
+                 "if (t < 0)",
+                 "    return -1;",
+                 f"*({c} *)&cells[{cell}] = t != 0;"]
+    else:
+        # masked to the low bits: wraps two's-complement, as
+        # simd.exec._as_scalar does
+        lines = [f"u = PyLong_AsUnsignedLongLongMask(args[{j}]);",
+                 "if (u == (unsigned long long)-1 && PyErr_Occurred())",
+                 "    return -1;",
+                 f"*({c} *)&cells[{cell}] = ({c})u;"]
+    return lines + [f"row[{j}] = &cells[{cell}];"]
+
+
+def emit_extension_glue(staged: StagedFunction, fn_name: str) -> str:
+    """The CPython extension module ``fn_name`` that serves the
+    export's calls (DESIGN.md §10) — what the paper's Scala macros
+    generate as JNI glue.
+
+    Two entries: ``call(*args)`` (``METH_FASTCALL``) marshals one
+    argument set and calls ``fn_name`` itself; ``call_batch(entries)``
+    marshals every entry into the ``void**`` table of
+    :func:`emit_batch_wrapper` and makes one call, so nothing runs if
+    any entry is refused.  Both release the GIL around the kernel, as
+    ``ctypes`` does.  Arrays cross through the buffer protocol; an
+    argument the fast path refuses goes to its ``marshalling_plan``
+    entry, bound in at link time by ``bind(ndarray, plan)``.
+    """
+    params = staged.params
+    nargs = len(params)
+    arrays = [j for j, p in enumerate(params)
+              if isinstance(p.tp, ArrayType)]
+    scalars = [j for j in range(nargs) if j not in arrays]
+    kinds = {("d" if params[j].tp.is_float else
+              "t" if params[j].tp.name == "Boolean" else "u")
+             for j in scalars}
+    body = ["double d;"] * ("d" in kinds) + ["int t;"] * ("t" in kinds) \
+        + ["unsigned long long u;"] * ("u" in kinds)
+    for j, p in enumerate(params):
+        cell = arrays.index(j) if j in arrays else scalars.index(j)
+        body += _marshal_param(j, p, cell)
+    marshal = "\n".join(f"    {line}" for line in body + ["return 0;"])
+
+    rtp = staged.result_type
+    call = _row_call(staged, fn_name, "row")
+    if isinstance(rtp, VoidType):
+        run, r_decl, out_c = f"{call};", "", "char"
+        single = item = "Py_NewRef(Py_None)"
+    else:
+        out_c = c_type_of(rtp)
+        run, r_decl = f"r = {call};", f"    {out_c} r;\n"
+        single, item = _to_python(rtp, "r"), _to_python(rtp, "out[i]")
+    na, ns, nv = max(nargs, 1), max(len(scalars), 1), max(len(arrays), 1)
+    name_def = (f"\n#define REPRO_NAME \"{fn_name}\"\n"
+                f"#define REPRO_NARGS {nargs}\n")
+    return (
+        name_def + _GLUE_HELPERS
+        + f"""
+/* Marshal one argument set: row[j] is an array's address (its buffer
+   view held in views[] until released) or points at a scalar's cell. */
+static int
+repro_marshal(repro_state *st, PyObject *const *args, void **row,
+              repro_cell *cells, Py_buffer *views)
+{{
+{marshal}
+}}
+
+static PyObject *
+repro_call(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{{
+    repro_state *st;
+    void *row[{na}];
+    repro_cell cells[{ns}];
+    Py_buffer views[{nv}];
+    PyObject *result = NULL;
+{r_decl}    int k;
+    if (nargs != REPRO_NARGS)
+        return repro_arity(nargs);
+    if ((st = repro_bound(self)) == NULL)
+        return NULL;
+    for (k = 0; k < {len(arrays)}; ++k)
+        views[k].obj = NULL;
+    if (repro_marshal(st, args, row, cells, views) == 0) {{
+        Py_BEGIN_ALLOW_THREADS
+        {run}
+        Py_END_ALLOW_THREADS
+        result = {single};
+    }}
+    for (k = 0; k < {len(arrays)}; ++k)
+        PyBuffer_Release(&views[k]);
+    return result;
+}}
+
+static PyObject *
+repro_call_batch(PyObject *self, PyObject *arg)
+{{
+    repro_state *st = repro_bound(self);
+    PyObject *entries, *result = NULL;
+    PyObject **held;
+    void **argv;
+    repro_cell *cells;
+    Py_buffer *views;
+    {out_c} *out;
+    Py_ssize_t n, i, k;
+    if (st == NULL || (entries = PySequence_Tuple(arg)) == NULL)
+        return NULL;
+    n = PyTuple_GET_SIZE(entries);
+    /* zeroed: unheld entries are NULL, unheld views have obj == NULL */
+    held = PyMem_Calloc(n + 1, sizeof(PyObject *));
+    argv = PyMem_Calloc(n * {nargs} + 1, sizeof(void *));
+    cells = PyMem_Calloc(n * {len(scalars)} + 1, sizeof(repro_cell));
+    views = PyMem_Calloc(n * {len(arrays)} + 1, sizeof(Py_buffer));
+    out = PyMem_Calloc(n + 1, sizeof({out_c}));
+    if (held == NULL || argv == NULL || cells == NULL || views == NULL
+            || out == NULL) {{
+        PyErr_NoMemory();
+        goto done;
+    }}
+    for (i = 0; i < n; ++i) {{
+        PyObject *entry = PySequence_Tuple(PyTuple_GET_ITEM(entries, i));
+        if ((held[i] = entry) == NULL)
+            goto done;
+        if (PyTuple_GET_SIZE(entry) != REPRO_NARGS) {{
+            repro_arity(PyTuple_GET_SIZE(entry));
+            goto done;
+        }}
+        if (repro_marshal(st, &PyTuple_GET_ITEM(entry, 0),
+                          argv + i * {nargs}, cells + i * {len(scalars)},
+                          views + i * {len(arrays)}) < 0)
+            goto done;
+    }}
+    Py_BEGIN_ALLOW_THREADS
+    {fn_name}{BATCH_SUFFIX}(n, argv, out);
+    Py_END_ALLOW_THREADS
+    if ((result = PyList_New(n)) == NULL)
+        goto done;
+    for (i = 0; i < n; ++i) {{
+        PyObject *value = {item};
+        if (value == NULL) {{
+            Py_CLEAR(result);
+            goto done;
+        }}
+        PyList_SET_ITEM(result, i, value);
+    }}
+done:
+    if (views != NULL)
+        for (k = 0; k < n * {len(arrays)}; ++k)
+            PyBuffer_Release(&views[k]);
+    if (held != NULL)
+        for (i = 0; i < n; ++i)
+            Py_XDECREF(held[i]);
+    PyMem_Free(held);
+    PyMem_Free(argv);
+    PyMem_Free(cells);
+    PyMem_Free(views);
+    PyMem_Free(out);
+    Py_DECREF(entries);
+    return result;
+}}
+"""
+        + _GLUE_MODULE.replace("REPRO_SYMBOL", fn_name)
+    )
+
+
 def emit_c_source(staged: StagedFunction,
                   export_name: str | None = None) -> str:
     """Unparse a staged function into a complete C translation unit.
@@ -260,10 +626,12 @@ def emit_c_source(staged: StagedFunction,
     The exported symbol is ``repro_native_<name>`` — the analog of JNI's
     ``Java_<package>_<class>_<method>`` naming convention, which the
     paper automates with Scala macros and we automate here.  When an
-    ``export_name`` is given (the compile-and-link path), a second
-    ``<export_name>__batch`` symbol is emitted that executes ``n``
-    packed argument sets in one call (see :func:`emit_batch_wrapper`);
-    display-only emission (no export name) stays wrapper-free.
+    ``export_name`` is given (the compile-and-link path), the unit also
+    carries a ``<export_name>__batch`` symbol that executes ``n``
+    packed argument sets in one call (see :func:`emit_batch_wrapper`)
+    and the CPython extension glue that serves both (see
+    :func:`emit_extension_glue`); display-only emission (no export
+    name) is the kernel alone.
     """
     body = staged.scheduled()
     em = _Emitter()
@@ -281,12 +649,18 @@ def emit_c_source(staged: StagedFunction,
     includes = "\n".join(f"#include <{h}>"
                          for h in sorted(em.headers))
     sig = ", ".join(params) if params else "void"
-    batch = "\n" + emit_batch_wrapper(staged, fn_name) \
-        if export_name is not None else ""
+    glue = ""
+    if export_name is not None:
+        # Python.h goes first: it sets feature macros the system
+        # headers read
+        includes = "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n" \
+            + includes
+        glue = "\n" + emit_batch_wrapper(staged, fn_name) \
+            + emit_extension_glue(staged, fn_name)
     return (
         f"{includes}\n\n"
         f"{ret_c} {fn_name}({sig}) {{\n"
         + "\n".join(em.lines)
         + "\n}\n"
-        + batch
+        + glue
     )

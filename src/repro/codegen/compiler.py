@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -260,6 +261,12 @@ def _run_with_watchdog(cmd: Sequence[str], timeout: float,
                                        stdout, stderr)
 
 
+def python_include_dir() -> Path:
+    """The directory holding this interpreter's ``Python.h``, which
+    every generated kernel includes for its extension glue."""
+    return Path(sysconfig.get_paths()["include"])
+
+
 def compile_shared_library(source: str, workdir: Path,
                            isas: frozenset[str],
                            compiler: CompilerInfo | None = None,
@@ -270,7 +277,8 @@ def compile_shared_library(source: str, workdir: Path,
     """Compile C source into a shared library and return its path.
 
     ``flags`` overrides the compiler's derived flag set (used by the
-    fallback ladder).  ``deadline`` is an absolute ``time.monotonic()``
+    fallback ladder); :func:`python_include_dir` is always on the
+    include path.  ``deadline`` is an absolute ``time.monotonic()``
     instant; the effective watchdog timeout is clamped to the time
     remaining, and an already-expired deadline raises
     :class:`CompileDeadlineError` without invoking the compiler.
@@ -286,7 +294,8 @@ def compile_shared_library(source: str, workdir: Path,
     so_path = workdir / f"{name}.so"
     c_path.write_text(source)
     use_flags = list(flags) if flags is not None else cc.flags_for(isas)
-    cmd = [cc.path, *use_flags, str(c_path), "-o", str(so_path)]
+    cmd = [cc.path, *use_flags, f"-I{python_include_dir()}", str(c_path),
+           "-o", str(so_path)]
     if timeout is None:
         timeout = _compile_timeout()
     if deadline is not None:

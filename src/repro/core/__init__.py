@@ -10,8 +10,9 @@ The paper's developer workflow (Figure 3) has four compile-time steps:
 4. call :func:`compile_kernel` to generate, compile and link the code.
 
 At runtime the pipeline inspects the system (CPUID, compilers), stages
-the function, and links it back — natively through gcc/clang + ctypes
-when the host supports the kernel's ISAs, falling back to the
+the function, and links it back — natively through gcc/clang and a
+generated CPython extension when the host supports the kernel's ISAs
+(and has ``Python.h``), falling back to the
 bit-accurate SIMD machine otherwise.  Either way the kernel also carries
 its Haswell cost-model lowering, which is what the benchmarks price.
 """

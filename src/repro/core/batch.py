@@ -8,8 +8,8 @@ chunk instead (DESIGN.md §13).  It re-reads the kernel's
 single-attribute tiered dispatch per chunk, so a concurrent hot-swap
 splits the batch on a chunk boundary (every chunk runs atomically on
 exactly one tier).  Native chunks go through
-:meth:`NativeKernel.call_batch` (one ctypes call over a packed
-``void**`` table); simulated chunks go through
+:meth:`NativeKernel.call_batch` (one crossing of the generated
+extension over a packed ``void**`` table); simulated chunks go through
 :meth:`SimdMachine.run_batch` (one whole-batch numpy sweep when the
 entries share a control-flow path).
 

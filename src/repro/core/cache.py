@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sysconfig
 import threading
 import time
 from collections import OrderedDict
@@ -225,8 +226,12 @@ class DiskKernelCache:
     @staticmethod
     def artifact_key(graph_hash_: str, compiler_version: str,
                      flags: Iterable[str], isas: Iterable[str]) -> str:
+        """The entry key of one build.  It carries the interpreter's
+        ``EXT_SUFFIX``: every artifact is a CPython extension, so it is
+        never served to another ABI."""
         token = "\n".join([graph_hash_, compiler_version,
-                           " ".join(flags), " ".join(sorted(isas))])
+                           " ".join(flags), " ".join(sorted(isas)),
+                           sysconfig.get_config_var("EXT_SUFFIX") or ""])
         return hashlib.sha256(token.encode()).hexdigest()[:32]
 
     # -- shard geometry and locking ------------------------------------

@@ -44,7 +44,7 @@ from repro.timing.staged_lower import lower_staged, param_env
 
 
 class BackendKind(enum.Enum):
-    NATIVE = "native"       # real C -> gcc/clang -> ctypes
+    NATIVE = "native"  # real C -> gcc/clang -> generated CPython extension
     SIMULATED = "simulated"  # the bit-accurate SIMD machine
 
 

@@ -29,10 +29,10 @@ Exception taxonomy: :class:`TransientCompileError` (retryable),
 
 from __future__ import annotations
 
-import ctypes
 import faulthandler
 import hashlib
 import os
+import select
 import signal
 import sys
 import threading
@@ -59,9 +59,10 @@ from repro.codegen.native import (
     NativeKernel,
     NativeLinkError,
     build_native,
+    call_raw_symbol,
     check_kernel_isas,
-    ctype_signature,
     link_native,
+    load_kernel,
     required_isas,
 )
 from repro.core import faults
@@ -265,6 +266,10 @@ class SmokeVerdict:
         return self.status in ("crashed", "mismatch", "timeout")
 
 
+#: How often the smoke run's blocking wait rechecks ``waitpid``.
+_SMOKE_POLL_S = 0.005
+
+
 def _smoke_timeout() -> float:
     return env_float("REPRO_SMOKE_TIMEOUT", 30.0, minimum=0.01)
 
@@ -287,14 +292,17 @@ def _child_smoke(artifact: NativeArtifact, shadow: list[Any],
             # a crash here is expected and contained; don't let the
             # inherited handler dump the parent's stack to stderr
             faulthandler.disable()
-        lib = ctypes.CDLL(str(artifact.so_path))
-        fn = getattr(lib, artifact.symbol)
-        fn.argtypes, fn.restype = ctype_signature(artifact.staged)
-        kernel = NativeKernel(
-            staged=artifact.staged, c_source=artifact.c_source,
-            library_path=artifact.so_path, symbol=artifact.symbol,
-            _fn=fn, system=artifact.system)
-        got = kernel(*shadow)
+        # the glue that will serve calls, loaded without the import
+        # statement (see load_kernel)
+        unlinkable: NativeLinkError | None = None
+        try:
+            got = load_kernel(artifact)(*shadow)
+        except NativeLinkError as exc:
+            # A library without the glue (replaced under a valid
+            # checksum) can never link, but its kernel symbol is still
+            # probed: a crash or a wrong result quarantines it.
+            unlinkable = exc
+            got = call_raw_symbol(artifact, shadow)
         problems: list[str] = []
         for param, have, want in zip(artifact.staged.params, shadow,
                                      expected_args):
@@ -308,6 +316,9 @@ def _child_smoke(artifact: NativeArtifact, shadow: list[Any],
         if problems:
             os.write(write_fd, "; ".join(problems).encode()[:512])
             return 3
+        if unlinkable is not None:
+            os.write(write_fd, str(unlinkable).encode()[:512])
+            return 4
         return 0
     except BaseException as exc:  # noqa: BLE001 - child must not unwind
         try:
@@ -351,24 +362,38 @@ def smoke_test_artifact(artifact: NativeArtifact,
         finally:
             os._exit(code)
     os.close(write_fd)
+    status: int | None = None
+    detail = b""
     try:
         deadline = time.monotonic() + timeout
-        status: int | None = None
+        # Block on the result pipe: it is readable when the child writes
+        # its detail and at EOF once the child exits.  waitpid is
+        # rechecked every few ms, so a write end inherited by a
+        # concurrent fork cannot stall the wait.
         while True:
             wpid, wstatus = os.waitpid(pid, os.WNOHANG)
             if wpid == pid:
                 status = wstatus
                 break
-            if time.monotonic() > deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 try:
                     os.kill(pid, signal.SIGKILL)
                 except OSError:
                     pass
                 os.waitpid(pid, 0)
                 break
-        detail = b""
+            ready, _, _ = select.select([read_fd], [], [],
+                                        min(remaining, _SMOKE_POLL_S))
+            if ready:
+                chunk = os.read(read_fd, 4096)
+                detail += chunk
+                if not chunk:
+                    # EOF: the child has exited and is being reaped
+                    status = os.waitpid(pid, 0)[1]
+                    break
         try:
-            while True:
+            while select.select([read_fd], [], [], 0)[0]:
                 chunk = os.read(read_fd, 4096)
                 if not chunk:
                     break
@@ -482,7 +507,7 @@ def acquire_native(staged: StagedFunction, *,
 
     The full resilience path: quarantine check, disk-cache probe,
     ladder compile (with retries), disk-cache store, forked smoke-run,
-    then (and only then) ``ctypes`` linking into this process.
+    then (and only then) loading its extension module into this process.
     ``deadline`` (absolute ``time.monotonic()``) bounds the compile
     ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`.
     Raises :class:`KernelQuarantinedError`,

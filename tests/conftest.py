@@ -5,16 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen.compiler import inspect_system
+from repro.codegen.compiler import inspect_system, python_include_dir
 
 
 def _system():
     return inspect_system()
 
 
+# Every native kernel is a CPython extension: building one needs a C
+# compiler and this interpreter's headers.
 requires_compiler = pytest.mark.skipif(
-    _system().best_compiler is None,
-    reason="no C compiler on this host",
+    _system().best_compiler is None
+    or not (python_include_dir() / "Python.h").is_file(),
+    reason="no C compiler or no Python.h on this host",
 )
 
 requires_avx2_fma = pytest.mark.skipif(

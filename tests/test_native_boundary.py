@@ -15,15 +15,28 @@ native per-call and the native batch trampoline.
   and a batch holding one runs no entry; everything else it takes
   (subclasses, equal-but-not-identical dtypes, empty and temporary
   arrays) gives the simulator's results bit for bit.
+
+The native paths cross through each kernel's generated CPython
+extension glue, so the checks it owns in C are held here too: argument
+references and buffer exports balance, relinking a library gives a
+fresh module, the disk-cache key names the interpreter's ABI, a host
+without ``Python.h`` degrades like one without a compiler, and an
+unconvertible scalar is a ``TypeError``.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+import sysconfig
+
 import numpy as np
 import pytest
 
-from repro.core import compile_staged
-from repro.core.cache import default_cache
+import repro.codegen.native as native_mod
+from repro.codegen.native import NativeLinkError
+from repro.core import BackendKind, compile_staged
+from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import clear_session_state
 from repro.lms import const, forloop
 from repro.lms.ops import Variable, array_apply, array_update
@@ -254,3 +267,116 @@ class TestBoundaryEdges:
                   np.float32(3.0), 8)])[0]
         assert np.float32(got).tobytes() == np.float32(want).tobytes()
         assert dst.tobytes() == want_dst.tobytes()
+
+
+class TestExtensionGlue:
+    def test_references_balance_on_every_native_path(self, build):
+        native = build(scale_into, INTO)[0]._native
+        dst, src = np.zeros(8, np.float32), np.ones(8, np.float32)
+        bad, scale = np.ones(8, np.float64), np.float32(0.5)
+        good = (dst, src, scale, 8)
+        refused = (dst, bad, scale, 8)     # refused on its last array
+        watched = [dst, src, bad, scale, good, refused]
+        gc.collect()
+        before = [sys.getrefcount(o) for o in watched]
+        for _ in range(1000):
+            native(*good)
+            native.call_batch([good, good])
+            for call in (lambda: native(*refused),
+                         lambda: native.call_batch([good, refused])):
+                try:
+                    call()
+                except TypeError:
+                    pass
+                else:
+                    pytest.fail("a float64 array was not refused")
+        gc.collect()
+        assert [sys.getrefcount(o) for o in watched] == before
+
+    def test_relinking_a_disk_artifact_gives_a_second_handle(self, build):
+        build(scale_in_place, IN_PLACE)     # the module's private cache
+
+        def relinked(a, s, n):
+            forloop(0, n, step=1, body=lambda i: array_update(
+                a, i, array_apply(a, i) * s + 0.25))
+
+        kernels = []
+        for _ in range(3):
+            default_cache.clear()
+            clear_session_state()
+            kernels.append(compile_staged(relinked, IN_PLACE,
+                                          name="relinked",
+                                          backend="native",
+                                          use_cache=False))
+        first, second, third = kernels
+        assert [k.report.cache_source for k in kernels] == \
+            ["compiled", "disk", "disk"]
+        assert second._native.library_path == third._native.library_path
+        assert second._native._module is not third._native._module
+        for kernel in kernels:
+            a = np.arange(8, dtype=np.float32)
+            kernel(a, np.float32(2.0), 8)
+            assert a.tobytes() == (np.arange(8, dtype=np.float32) * 2
+                                   + np.float32(0.25)).tobytes()
+
+    def test_artifact_key_names_the_abi(self, monkeypatch):
+        args = ("ab" * 8, "gcc 12", ["-O3"], ["AVX"])
+        key = DiskKernelCache.artifact_key(*args)
+        real = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig, "get_config_var",
+            lambda name: ".cpython-39-x86_64-linux-gnu.so"
+            if name == "EXT_SUFFIX" else real(name))
+        assert DiskKernelCache.artifact_key(*args) != key
+
+    def test_missing_headers_degrade_like_a_missing_compiler(
+            self, build, monkeypatch, tmp_path):
+        empty = tmp_path / "include"
+        empty.mkdir()
+        real = sysconfig.get_paths
+        monkeypatch.setattr(sysconfig, "get_paths", lambda *a, **k: {
+            **real(*a, **k), "include": str(empty)})
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kc"))
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("a compiler ran without Python.h")
+
+        monkeypatch.setattr(native_mod, "compile_with_fallback",
+                            no_compiler)
+
+        def headerless(a, n):
+            forloop(0, n, step=1, body=lambda i: array_update(
+                a, i, array_apply(a, i) + 7.5))
+
+        types = [array_of(FLOAT), INT32]
+        kernel = compile_staged(headerless, types, name="headerless",
+                                backend="auto", use_cache=False)
+        assert kernel.backend == BackendKind.SIMULATED
+        assert "Python.h" in kernel.fallback_reason
+        a = np.zeros(4, np.float32)
+        kernel(a, 4)
+        assert (a == 7.5).all()
+        with pytest.raises(NativeLinkError, match="Python.h"):
+            compile_staged(headerless, types, name="headerless",
+                           backend="native", use_cache=False)
+
+    UNCONVERTIBLE = [
+        ("str_for_float", lambda d, s: (d, s, "2.0", 8)),
+        ("none_for_float", lambda d, s: (d, s, None, 8)),
+        ("float_for_int", lambda d, s: (d, s, np.float32(2.0), 8.0)),
+    ]
+
+    @pytest.mark.parametrize("via", ["call", "call_batch"])
+    @pytest.mark.parametrize("label,make", UNCONVERTIBLE,
+                             ids=[u[0] for u in UNCONVERTIBLE])
+    def test_unconvertible_scalar_is_a_type_error(self, build, via, label,
+                                                  make):
+        native = build(scale_into, INTO)[0]._native
+        dst, src = np.zeros(8, np.float32), np.ones(8, np.float32)
+        good = (dst, src, np.float32(2.0), 8)
+        with pytest.raises(TypeError):
+            if via == "call":
+                native(*make(dst, src))
+            else:
+                native.call_batch([good, make(dst, src)])
+        assert not dst.any()    # the batch ran no entry

@@ -474,6 +474,76 @@ class TestVersionThreading:
         monkeypatch.setenv("REPRO_SPEC_VERSION", "3.3.16")
         assert "AVX" in required_isas(sf)
 
+    def test_lookup_builds_the_catalog_once_per_version(self,
+                                                        monkeypatch):
+        import repro.codegen.native as native_mod
+        import repro.spec.catalog as catalog
+        from repro.codegen.native import required_isas
+        from repro.isa import load_isas
+
+        real = catalog.all_entries
+        built: list[str] = []
+
+        def counted(version="3.3.16"):
+            built.append(version)
+            return real(version)
+
+        monkeypatch.setattr(catalog, "all_entries", counted)
+        monkeypatch.setattr(native_mod, "_CPUIDS_BY_VERSION", {})
+        avx = load_isas("AVX")
+
+        def load_store(a):
+            avx._mm256_storeu_ps(a, avx._mm256_loadu_ps(a, 0), 0)
+
+        def store_zero(a):
+            avx._mm256_storeu_ps(a, avx._mm256_setzero_ps(), 0)
+
+        kernels = [stage_function(load_store, [array_of(FLOAT)], "ls"),
+                   stage_function(store_zero, [array_of(FLOAT)], "sz")]
+        for version in ("3.3.16", "3.2.2"):
+            for sf in kernels:
+                assert "AVX" in required_isas(sf, version=version)
+        assert built == ["3.3.16", "3.2.2"]
+
+
+class TestSmokeTimeout:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_hung_child_is_killed_without_spinning(self, monkeypatch):
+        import time
+
+        import repro.core.resilience as resilience
+        from repro.codegen.compiler import inspect_system
+        from repro.codegen.native import NativeArtifact
+
+        def hang(*args, **kwargs):
+            time.sleep(60)
+            return 0
+
+        forked: list[int] = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(resilience, "_child_smoke", hang)
+        monkeypatch.setattr(os, "fork", fork)
+        # the child never links: the library need not exist
+        artifact = NativeArtifact(
+            staged=_staged(3.5, "hang_k"), c_source="",
+            so_path=Path("unbuilt.so"), symbol="repro_native_hang_k",
+            isas=frozenset(), system=inspect_system())
+        start = time.thread_time()
+        verdict = resilience.smoke_test_artifact(artifact, timeout=0.5)
+        spent = time.thread_time() - start
+        assert verdict.status == "timeout"
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)     # already reaped
+        assert spent < 0.25, f"the wait burned {spent:.2f}s of CPU"
+
 
 class TestValidateShadowCopies:
     def test_validate_does_not_mutate_noncontiguous_view(self):
