@@ -68,7 +68,6 @@ def test_perf_batch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.delenv("REPRO_TIER", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE", raising=False)
     default_cache.clear()
     clear_session_state()
     wall0 = time.perf_counter()

@@ -333,20 +333,33 @@ class NativeArtifact:
     flags: tuple[str, ...] = ()
 
 
+def export_source(staged: StagedFunction) -> str:
+    """The C of a staged function's export: the kernel, its batch
+    trampoline and its extension glue, in one translation unit.  A
+    signature that cannot cross the boundary raises
+    :class:`NativeLinkError` first."""
+    ctype_signature(staged)
+    with obs.span("emit", kernel=staged.name):
+        return emit_c_source(staged, export_name=EXPORT_PREFIX + staged.name)
+
+
 def build_native(staged: StagedFunction,
                  workdir: str | Path | None = None,
                  check_isas: bool = True,
                  compilers: Sequence[CompilerInfo] | None = None,
                  attempts: list[CompileAttempt] | None = None,
                  max_retries: int | None = None,
-                 deadline: float | None = None) -> NativeArtifact:
+                 deadline: float | None = None,
+                 source: str | None = None) -> NativeArtifact:
     """Generate C and compile it down the fallback ladder — no linking.
 
     The returned artifact has not been loaded into this process; link
     it with :func:`link_native` (or let
     :func:`repro.core.resilience.acquire_native` smoke-test it first).
     ``deadline`` (absolute ``time.monotonic()``) bounds the whole
-    ladder walk; see :func:`compile_with_fallback`.
+    ladder walk; see :func:`compile_with_fallback`.  ``source`` is the
+    :func:`export_source` a caller already emitted (and keyed its disk
+    cache entry on); by default it is emitted here.
     """
     system = inspect_system()
     ccs = list(compilers) if compilers is not None \
@@ -358,15 +371,13 @@ def build_native(staged: StagedFunction,
         raise NativeLinkError(
             f"Python.h not found under {include}: the kernel's CPython "
             f"extension glue cannot be built")
-    ctype_signature(staged)     # refuses types that cannot cross
 
     isas = required_isas(staged)
     if check_isas:
         check_kernel_isas(staged.name, isas, system, ccs)
 
-    symbol = EXPORT_PREFIX + staged.name
-    with obs.span("emit", kernel=staged.name):
-        source = emit_c_source(staged, export_name=symbol)
+    if source is None:
+        source = export_source(staged)
     wd = Path(workdir) if workdir is not None else \
         _session_workdir(staged.name)
     with obs.span("compile", kernel=staged.name) as compile_span:
@@ -377,8 +388,8 @@ def build_native(staged: StagedFunction,
         compile_span.set("compiler", cc.name)
         compile_span.set("flags", flags)
     return NativeArtifact(staged=staged, c_source=source, so_path=so_path,
-                          symbol=symbol, isas=isas, system=system,
-                          compiler=cc, flags=flags)
+                          symbol=EXPORT_PREFIX + staged.name, isas=isas,
+                          system=system, compiler=cc, flags=flags)
 
 
 def ctype_signature(staged: StagedFunction) -> tuple[list, Any]:

@@ -10,6 +10,7 @@ same immediates) reuses the compiled artifact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -162,7 +163,7 @@ class DiskKernelCache:
     """The persistent tier: compiled ``.so`` artifacts on disk,
     crash-consistent and safe under concurrent *processes*.
 
-    Layout (v2, sharded): entries are keyed by ``(graph_hash, compiler
+    Layout (v2, sharded): entries are keyed by ``(emitted C, compiler
     version, flags, ISA set)`` and live under ``root/<key[:2]>/`` —
     256 shards, each with its own ``.lock`` file taken with ``fcntl``
     advisory locks (``flock``), so two processes hammering different
@@ -203,6 +204,10 @@ class DiskKernelCache:
     the entry it serves, so a manifest's mtime is its last read (or its
     publish, if it was never read), and eviction drops the oldest
     manifests shard-by-shard under each shard's lock.
+
+    **One build per kernel.**  :meth:`build_lock` serializes the
+    compile of one kernel across processes, so processes missing the
+    same kernel at once pay for one compile between them.
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -224,12 +229,15 @@ class DiskKernelCache:
                 pass
 
     @staticmethod
-    def artifact_key(graph_hash_: str, compiler_version: str,
+    def artifact_key(source_digest: str, compiler_version: str,
                      flags: Iterable[str], isas: Iterable[str]) -> str:
-        """The entry key of one build.  It carries the interpreter's
-        ``EXT_SUFFIX``: every artifact is a CPython extension, so it is
-        never served to another ABI."""
-        token = "\n".join([graph_hash_, compiler_version,
+        """The entry key of one build.  ``source_digest`` is the SHA-256
+        of the emitted C, which spells out the staged graph, the symbol
+        and the glue, so a code-generator change is a miss, not a stale
+        hit.  The key carries the interpreter's ``EXT_SUFFIX``: every
+        artifact is a CPython extension, so it is never served to
+        another ABI."""
+        token = "\n".join([source_digest, compiler_version,
                            " ".join(flags), " ".join(sorted(isas)),
                            sysconfig.get_config_var("EXT_SUFFIX") or ""])
         return hashlib.sha256(token.encode()).hexdigest()[:32]
@@ -355,26 +363,6 @@ class DiskKernelCache:
             finally:
                 lock.release()
 
-    def contains(self, key: str) -> bool:
-        """Whether both halves of ``key`` are present, by ``stat`` alone.
-
-        A pure existence probe for planners (e.g. the service client's
-        "is any ladder rung already published?" scan): no payload
-        reads, no checksum validation, and — unlike :meth:`get` — no
-        recency touch, so probing every ladder rung cannot keep an
-        entry alive in the LRU order with reads that served nothing.
-        A torn pair may answer ``True``; the serving-path :meth:`get`
-        still validates before anything is linked.
-        """
-        so_path, meta_path = self._paths(key)
-        try:
-            found = so_path.is_file() and meta_path.is_file()
-        except OSError:
-            found = False
-        obs.counter("cache.disk.probes",
-                    outcome="present" if found else "absent")
-        return found
-
     def invalidate(self, key: str) -> None:
         """Remove an entry (e.g. after its artifact was quarantined)."""
         with self._lock:
@@ -430,6 +418,78 @@ class DiskKernelCache:
                 lock.release()
             self._evict()
             return so_path
+
+    # -- the build lock ------------------------------------------------
+
+    @contextlib.contextmanager
+    def build_lock(self, key: str, deadline: float | None):
+        """Hold the build lock of the kernel whose preferred entry is
+        ``key``; yields whether it is held.
+
+        Whoever holds it probes the store again and compiles and
+        publishes only if the kernel is still missing, so a waiter that
+        gets the lock after a holder has published finds the entry.  A
+        waiter gives up at ``deadline`` (absolute ``time.monotonic()``;
+        ``None`` waits for the holder), and a lock file that cannot be
+        opened (a read-only store) is not waited for: both yield
+        ``False`` and the caller compiles unlocked.  The wait is the
+        ``build_lock`` span.
+
+        The lock is an exclusive ``flock`` on ``<shard>/<key>.build``,
+        not the shard ``.lock``, which guards every read and write of
+        1/256 of the store and gives up long before a compile ends.  A
+        killed holder's lock dies with its process.  The holder unlinks
+        the file before it unlocks, so a waiter that then wins the lock
+        on the unlinked file sees that the path names another file and
+        tries again on that one.
+        """
+        path = self.shard_dir(key) / f"{key}.build"
+        with obs.span("build_lock") as span:
+            fd, outcome = self._take_build_lock(path, deadline)
+            span.set("outcome", outcome)
+        try:
+            yield fd >= 0
+        finally:
+            if fd >= 0:
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+                _ShardLock(fd, path).release()
+
+    @staticmethod
+    def _take_build_lock(path: Path, deadline: float | None
+                         ) -> tuple[int, str]:
+        """``(locked fd, "held")``, or ``(-1, "timeout")`` once
+        ``deadline`` passes, or ``(-1, "unavailable")`` when ``path``
+        cannot be opened or locked."""
+        if fcntl is None:  # pragma: no cover - non-POSIX hosts
+            return -1, "unavailable"
+        while True:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+            except OSError:
+                return -1, "unavailable"
+            while True:
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                    break
+                except BlockingIOError:
+                    if deadline is not None and \
+                            time.monotonic() >= deadline:
+                        os.close(fd)
+                        return -1, "timeout"
+                    time.sleep(0.01)
+                except OSError:
+                    os.close(fd)
+                    return -1, "unavailable"
+            try:
+                if os.stat(path).st_ino == os.fstat(fd).st_ino:
+                    return fd, "held"
+            except OSError:
+                pass
+            os.close(fd)
 
     # -- eviction and recovery -----------------------------------------
 

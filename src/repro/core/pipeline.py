@@ -31,7 +31,7 @@ from repro.core.tiered import (
     NativeDispatch,
     SimulatedDispatch,
     TierEvent,
-    get_manager,
+    default_manager,
     tier_mode,
 )
 from repro.lms.optimize import OptStats, optimize_staged
@@ -384,9 +384,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             default_cache.put_for(pre_opt, requested, kernel)
         if deferred:
             pipe_span.set("tier", mode)
-            # get_manager: REPRO_SERVICE routes deferred compiles
-            # through the service-backed manager
-            get_manager().manage(kernel, mode)
+            default_manager.manage(kernel, mode)
     if trace_id is not None:
         kernel.trace = obs.get_tracer().spans_for_trace(trace_id)
     return kernel

@@ -17,10 +17,12 @@ the harness layer around both:
   hang or mismatch quarantines the kernel by graph hash for the rest of
   the session and the pipeline falls back to the simulator backend.
 * **Persistent caching** — validated artifacts live in the disk tier of
-  :class:`repro.core.cache.DiskKernelCache`, keyed by ``(graph hash,
-  compiler version, flags, ISA set)``, so a second process skips the
-  compiler entirely (visible as ``cache_source == "disk"`` with zero
-  attempts in the report).
+  :class:`repro.core.cache.DiskKernelCache`, keyed by ``(digest of the
+  emitted C, compiler version, flags, ISA set)``, so a second process
+  skips the compiler entirely (visible as ``cache_source == "disk"``
+  with zero attempts in the report).  Processes that miss the same
+  kernel at once compile it once: the first takes the kernel's build
+  lock, the others wait and then hit.
 
 Exception taxonomy: :class:`TransientCompileError` (retryable),
 :class:`PermanentCompileError` (ladder moves on), and
@@ -34,7 +36,6 @@ import hashlib
 import os
 import select
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,6 +62,7 @@ from repro.codegen.native import (
     build_native,
     call_raw_symbol,
     check_kernel_isas,
+    export_source,
     link_native,
     load_kernel,
     required_isas,
@@ -79,6 +81,7 @@ __all__ = [
     "TransientCompileError",
     "acquire_native",
     "clear_session_state",
+    "compile_deadline",
     "quarantined_kernels",
 ]
 
@@ -152,20 +155,9 @@ def clear_session_state() -> None:
 
     Order matters: the manager drains first so an in-flight compile
     cannot quarantine a kernel *after* the registry is cleared.
-
-    The serve layer is reset only if it was ever imported
-    (``sys.modules.get`` — never load it eagerly): the service client
-    singleton is dropped and any daemon started by *this* process is
-    stopped, which removes its socket and pid file.
     """
     from repro.core.tiered import default_manager
     default_manager.reset()
-    serve_client = sys.modules.get("repro.serve.client")
-    if serve_client is not None:
-        serve_client.reset_service()
-    serve_daemon = sys.modules.get("repro.serve.daemon")
-    if serve_daemon is not None:
-        serve_daemon.shutdown_local_daemons()
     with _state_lock:
         _quarantined.clear()
         _trusted.clear()
@@ -433,16 +425,25 @@ def _disk_enabled() -> bool:
     return os.environ.get("REPRO_DISK_CACHE", "1") not in ("0", "off", "no")
 
 
+def compile_deadline() -> float | None:
+    """Per-kernel wall-clock budget for one compile
+    (``REPRO_COMPILE_DEADLINE``, default 300 s; ``0`` disables).  The
+    tiered manager converts it to an absolute deadline threaded down the
+    whole ladder walk, so a hung compiler can never wedge a worker slot
+    longer than this; a compile without a deadline of its own waits at
+    most this long on another process's build of the same kernel."""
+    value = env_float("REPRO_COMPILE_DEADLINE", 300.0, minimum=0.0)
+    return None if value <= 0 else value
+
+
 def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
-                 ghash: str, isas: frozenset[str],
-                 ccs: Sequence[CompilerInfo], system: SystemInfo,
+                 rungs: Sequence[tuple[CompilerInfo, list[str], str]],
+                 isas: frozenset[str], system: SystemInfo,
                  report: CompileReport) -> NativeArtifact | None:
-    """Probe the disk tier under every key the ladder could produce,
-    preferred configuration first."""
-    for cc in ccs:
-        for _rung, flags in flag_ladder(cc, isas, required=isas):
-            key = DiskKernelCache.artifact_key(ghash, cc.version, flags,
-                                               isas)
+    """Probe the disk tier under every ``(compiler, flags, key)`` the
+    ladder could produce, preferred configuration first."""
+    with obs.span("disk_probe") as probe_span:
+        for cc, flags, key in rungs:
             entry = disk.get(key)
             if entry is None:
                 continue
@@ -451,6 +452,8 @@ def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
             report.compiler = cc.name
             report.compiler_version = cc.version
             report.flags = tuple(flags)
+            probe_span.set("outcome", "hit")
+            obs.counter("acquire.disk_probe", outcome="hit")
             return NativeArtifact(
                 staged=staged,
                 c_source=meta.get("c_source", ""),
@@ -458,19 +461,48 @@ def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
                 symbol=meta.get("symbol", ""),
                 isas=frozenset(meta.get("isas", sorted(isas))),
                 system=system, compiler=cc, flags=tuple(flags))
+        probe_span.set("outcome", "miss")
+    obs.counter("acquire.disk_probe", outcome="miss")
     return None
 
 
+def _artifact_key(digest: str, artifact: NativeArtifact) -> str:
+    return DiskKernelCache.artifact_key(
+        digest, artifact.compiler.version, artifact.flags, artifact.isas)
+
+
+def _compile(staged: StagedFunction, source: str,
+             ccs: Sequence[CompilerInfo], report: CompileReport,
+             max_retries: int | None,
+             deadline: float | None) -> NativeArtifact:
+    """Walk the compiler ladder over ``source``, recording the attempts
+    and the outcome in ``report``."""
+    try:
+        artifact = build_native(staged, check_isas=False, compilers=ccs,
+                                attempts=report.attempts,
+                                max_retries=max_retries,
+                                deadline=deadline, source=source)
+    except CompileError as err:
+        report.fallback_reason = str(err)
+        err.report = report  # type: ignore[attr-defined]
+        raise
+    report.cache_source = "compiled"
+    if artifact.compiler is not None:
+        report.compiler = artifact.compiler.name
+        report.compiler_version = artifact.compiler.version
+        report.flags = artifact.flags
+    return artifact
+
+
 def _disk_store(disk: DiskKernelCache, artifact: NativeArtifact,
-                ghash: str) -> None:
+                ghash: str, digest: str) -> None:
     if artifact.compiler is None:
         return
     try:
         blob = artifact.so_path.read_bytes()
     except OSError:
         return
-    key = DiskKernelCache.artifact_key(
-        ghash, artifact.compiler.version, artifact.flags, artifact.isas)
+    key = _artifact_key(digest, artifact)
     meta = {
         "graph_hash": ghash,
         "symbol": artifact.symbol,
@@ -505,11 +537,16 @@ def acquire_native(staged: StagedFunction, *,
                    ) -> tuple[NativeKernel, CompileReport]:
     """Produce a trusted, linked native kernel — or refuse loudly.
 
-    The full resilience path: quarantine check, disk-cache probe,
-    ladder compile (with retries), disk-cache store, forked smoke-run,
-    then (and only then) loading its extension module into this process.
-    ``deadline`` (absolute ``time.monotonic()``) bounds the compile
-    ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`.
+    The full resilience path: quarantine check, C emission, disk-cache
+    probe, then on a miss the kernel's build lock, a second probe, and
+    only if the kernel is still missing a ladder compile (with retries)
+    and disk-cache store; then, with the lock released, a forked
+    smoke-run and only then loading its extension module into this
+    process.  ``deadline`` (absolute ``time.monotonic()``) bounds the
+    compile ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`
+    — and the wait for the build lock; without one the wait is bounded
+    by :func:`compile_deadline`.  A waiter past its bound, or a store
+    whose lock file cannot be taken, compiles unlocked.
     Raises :class:`KernelQuarantinedError`,
     :class:`PermanentCompileError` / :class:`TransientCompileError`
     (both :class:`CompileError`) or :class:`NativeLinkError`; each
@@ -537,41 +574,42 @@ def acquire_native(staged: StagedFunction, *,
         isas = required_isas(staged)
         try:
             check_kernel_isas(staged.name, isas, system, ccs)
+            source = export_source(staged)
         except NativeLinkError as err:
             err.report = report  # type: ignore[attr-defined]
             raise
+        digest = hashlib.sha256(source.encode()).hexdigest()
 
         use_disk = _disk_enabled() if use_disk_cache is None \
             else use_disk_cache
         disk = default_cache.disk if use_disk else None
 
-        artifact = None
-        if disk is not None:
-            with obs.span("disk_probe") as probe_span:
-                artifact = _disk_lookup(disk, staged, ghash, isas, ccs,
-                                        system, report)
-                probe_span.set(
-                    "outcome", "hit" if artifact is not None else "miss")
-            obs.counter("acquire.disk_probe",
-                        outcome="hit" if artifact is not None else "miss")
-        if artifact is None:
-            try:
-                artifact = build_native(staged, check_isas=False,
-                                        compilers=ccs,
-                                        attempts=report.attempts,
-                                        max_retries=max_retries,
-                                        deadline=deadline)
-            except CompileError as err:
-                report.fallback_reason = str(err)
-                err.report = report  # type: ignore[attr-defined]
-                raise
-            report.cache_source = "compiled"
-            if artifact.compiler is not None:
-                report.compiler = artifact.compiler.name
-                report.compiler_version = artifact.compiler.version
-                report.flags = artifact.flags
-            if disk is not None:
-                _disk_store(disk, artifact, ghash)
+        if disk is None:
+            artifact = _compile(staged, source, ccs, report, max_retries,
+                                deadline)
+        else:
+            rungs = [(cc, flags, DiskKernelCache.artifact_key(
+                         digest, cc.version, flags, isas))
+                     for cc in ccs
+                     for _rung, flags in flag_ladder(cc, isas,
+                                                     required=isas)]
+            artifact = _disk_lookup(disk, staged, rungs, isas, system,
+                                    report)
+            if artifact is None:
+                if deadline is not None:
+                    wait_until = deadline
+                else:
+                    budget = compile_deadline()
+                    wait_until = None if budget is None \
+                        else time.monotonic() + budget
+                with disk.build_lock(rungs[0][2], wait_until) as held:
+                    if held:
+                        artifact = _disk_lookup(disk, staged, rungs, isas,
+                                                system, report)
+                    if artifact is None:
+                        artifact = _compile(staged, source, ccs, report,
+                                            max_retries, deadline)
+                        _disk_store(disk, artifact, ghash, digest)
         acq_span.set("cache_source", report.cache_source)
 
         run_smoke = _smoke_enabled() if smoke is None else smoke
@@ -595,10 +633,13 @@ def acquire_native(staged: StagedFunction, *,
                         quarantine(ghash, reason)
                         if disk is not None and \
                                 artifact.compiler is not None:
-                            # never serve a condemned artifact to others
-                            disk.invalidate(DiskKernelCache.artifact_key(
-                                ghash, artifact.compiler.version,
-                                artifact.flags, artifact.isas))
+                            # never serve a condemned artifact to others;
+                            # a wedged cache does not stop the fallback
+                            try:
+                                disk.invalidate(
+                                    _artifact_key(digest, artifact))
+                            except OSError:
+                                pass
                         report.fallback_reason = f"quarantined: {reason}"
                         raise KernelQuarantinedError(ghash, reason, report)
                     if verdict.status == "passed":

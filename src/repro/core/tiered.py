@@ -51,12 +51,15 @@ from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
 from repro.core.cache import CompileJob, InflightCompiles, graph_hash
 from repro.core.env import env_float, env_int
-from repro.core.resilience import KernelQuarantinedError, acquire_native
+from repro.core.resilience import (
+    KernelQuarantinedError,
+    acquire_native,
+    compile_deadline,
+)
 
 __all__ = [
     "CircuitBreaker",
     "KernelManager",
-    "SERVICE_MODES",
     "TierEvent",
     "TIER_MODES",
     "breaker_cooldown",
@@ -66,35 +69,13 @@ __all__ = [
     "compile_workers",
     "default_manager",
     "environment_failure",
-    "get_manager",
     "hot_threshold",
     "queue_bound",
-    "service_mode",
     "tier_mode",
     "wait_all",
 ]
 
 TIER_MODES = ("sync", "async", "hot")
-
-SERVICE_MODES = ("off", "auto", "require")
-
-
-def service_mode() -> str:
-    """Whether deferred compiles go through the kernel compilation
-    service (``REPRO_SERVICE``): ``off`` (default) compiles in-process,
-    ``auto`` uses the daemon when reachable and falls back locally,
-    ``require`` demotes to the simulator rather than compile locally
-    when the daemon is down (DESIGN.md §12)."""
-    raw = os.environ.get("REPRO_SERVICE")
-    if raw is None or not raw.strip():
-        return "off"
-    mode = raw.strip().lower()
-    if mode not in SERVICE_MODES:
-        warnings.warn(
-            f"ignoring unknown REPRO_SERVICE={raw!r}; using 'off'",
-            RuntimeWarning, stacklevel=2)
-        return "off"
-    return mode
 
 
 def tier_mode() -> str:
@@ -146,27 +127,16 @@ def queue_bound() -> int:
     return env_int("REPRO_QUEUE_BOUND", 64, minimum=1)
 
 
-def compile_deadline() -> float | None:
-    """Per-kernel wall-clock budget for one background compile
-    (``REPRO_COMPILE_DEADLINE``, default 300 s; ``0`` disables).  The
-    manager converts it to an absolute deadline threaded down the whole
-    ladder walk, so a hung compiler can never wedge a worker slot
-    longer than this."""
-    value = env_float("REPRO_COMPILE_DEADLINE", 300.0, minimum=0.0)
-    return None if value <= 0 else value
-
-
 _BREAKER_STATE_CODES = {"closed": 0, "half-open": 1, "open": 2}
 
 # reason substrings that implicate the toolchain/host rather than one
-# kernel's code (see CircuitBreaker and _environment_failure)
+# kernel's code (see CircuitBreaker and environment_failure)
 _ENV_FAILURE_MARKERS = (
     "no c compiler",
     "could not be invoked",
     "deadline",
     "watchdog",
     "timed out",
-    "unreachable",
 )
 
 
@@ -175,11 +145,9 @@ def environment_failure(reason: str | None, report=None) -> bool:
     breaker) rather than the kernel's own code.
 
     Environment-level: every recorded ladder attempt transient
-    (timeouts, watchdog kills, failed execs, an unreachable compile
-    service), or a reason carrying one of the toolchain-failure
-    markers.  Kernel-level: permanent diagnostics, quarantines, link
-    failures of a built artifact.  Shared by the in-process manager and
-    the serve daemon so both breakers trip on the same taxonomy.
+    (timeouts, watchdog kills, failed execs), or a reason carrying one
+    of the toolchain-failure markers.  Kernel-level: permanent
+    diagnostics, quarantines, link failures of a built artifact.
     """
     text = (reason or "").lower()
     if any(marker in text for marker in _ENV_FAILURE_MARKERS):
@@ -523,18 +491,6 @@ class KernelManager:
 
     # -- worker side ---------------------------------------------------
 
-    # kept as a method name for callers/tests; the logic is module-level
-    # so the serve daemon shares the exact taxonomy
-    _environment_failure = staticmethod(environment_failure)
-
-    def _acquire(self, staged, deadline: float | None):
-        """The compile backend: produce ``(NativeKernel, report)`` for
-        one staged kernel.  The base manager compiles in-process;
-        :class:`repro.serve.client.ServiceKernelManager` overrides this
-        to delegate the compile to the daemon and link the published
-        artifact locally."""
-        return acquire_native(staged, deadline=deadline)
-
     def _run_job(self, job: CompileJob) -> str:
         staged = job.kernels[0].staged
         start = time.perf_counter()
@@ -546,7 +502,7 @@ class KernelManager:
                       graph_hash=job.key) as compile_span:
             trace_id = obs.get_tracer().current_trace_id()
             try:
-                native, report = self._acquire(staged, deadline)
+                native, report = acquire_native(staged, deadline=deadline)
             except KernelQuarantinedError as exc:
                 reason = f"quarantined: {exc.reason}"
                 report = exc.report
@@ -559,7 +515,7 @@ class KernelManager:
                 "outcome", "native" if native is not None else "demoted")
         if native is not None:
             self.breaker.record_success(probe=job.is_probe)
-        elif self._environment_failure(reason, report):
+        elif environment_failure(reason, report):
             self.breaker.record_env_failure(probe=job.is_probe)
         else:
             self.breaker.record_other(probe=job.is_probe)
@@ -620,8 +576,8 @@ class KernelManager:
         Compiles abandoned by the drain (their pool future was
         cancelled before running) are *logged*, not silently dropped:
         a ``tiered.abandoned`` counter and a :class:`RuntimeWarning`
-        naming the graph hashes, so a suite (or service shutdown) that
-        throws work away leaves a trace.
+        naming the graph hashes, so a suite that throws work away
+        leaves a trace.
         """
         snapshot = self._inflight.jobs()
         self.drain(cancel=True)
@@ -641,28 +597,6 @@ class KernelManager:
 
 
 default_manager = KernelManager()
-
-
-def get_manager() -> KernelManager:
-    """The manager deferred compiles go through.
-
-    ``REPRO_SERVICE=auto|require`` routes to the drop-in
-    :class:`repro.serve.client.ServiceKernelManager` (imported lazily —
-    ``serve`` is never loaded unless asked for); ``off`` — and any
-    failure to construct the service client — keeps the in-process
-    :data:`default_manager`, so a broken service layer degrades to
-    exactly the pre-service behaviour.
-    """
-    if service_mode() != "off":
-        try:
-            from repro.serve.client import get_service_manager
-            return get_service_manager()
-        except Exception:  # noqa: BLE001 - degraded, never broken
-            warnings.warn(
-                "REPRO_SERVICE is set but the service client could not "
-                "be initialised; compiling in-process",
-                RuntimeWarning, stacklevel=2)
-    return default_manager
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ disabling observability (``REPRO_OBS=0``) reduces every site to an
 environment lookup and a branch.
 
 Span taxonomy (DESIGN.md §8): a ``pipeline`` root per
-``compile_staged`` call with ``stage`` → ``acquire`` (``disk_probe``,
-``emit``, ``compile`` with one ``compile.attempt`` child per compiler
+``compile_staged`` call with ``stage`` → ``acquire`` (``emit``,
+``disk_probe``, on a miss ``build_lock`` and a second ``disk_probe``,
+``compile`` with one ``compile.attempt`` child per compiler
 invocation, ``smoke``, ``link``) → ``lower`` children.
 
 Environment:

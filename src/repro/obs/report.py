@@ -118,7 +118,7 @@ def _resilience_summary(counters: Mapping[str, float],
     watchdog = sum(value for cell, value in counters.items()
                    if cell.startswith("watchdog.kills"))
     lines.append(f"watchdog.kills = {int(watchdog)}")
-    # every row prints, zero or not: service dashboards diff reports
+    # every row prints, zero or not: dashboards diff reports
     # across runs, and a row that appears only once a counter fires
     # reads as a schema change instead of a value change
     for name in ("tiered.shed", "tiered.abandoned",
@@ -145,28 +145,6 @@ def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
     for cell, value in eliminated:
         lines.append(f"  {cell} = {int(value)}")
     lines.append(f"opt.hoisted = {int(counters.get('opt.hoisted', 0.0))}")
-    return lines
-
-
-def _service_summary(counters: Mapping[str, float]) -> list[str]:
-    """Compile-service activity (daemon- and client-side): rendered
-    only when a ``service.*`` family exists, but then every standing
-    row prints (zeros included) for the same diff-cleanliness."""
-    if not any(cell.startswith("service.") for cell in counters):
-        return []
-    lines = ["", "== compile service =="]
-    for name in ("service.dedup", "service.shed",
-                 "service.stale_socket_reclaimed",
-                 "service.client.dedup"):
-        total = sum(value for cell, value in counters.items()
-                    if cell == name or cell.startswith(name + "{"))
-        lines.append(f"{name} = {int(total)}")
-    for cell, value in sorted(counters.items()):
-        if cell.startswith(("service.requests{", "service.compiles{",
-                            "service.errors{",
-                            "service.client.requests{",
-                            "service.client.fallback{")):
-            lines.append(f"{cell} = {int(value)}")
     return lines
 
 
@@ -203,7 +181,6 @@ def render_report(spans: Sequence[Span],
     out.append("")
     out.append("== resilience ==")
     out.extend(_resilience_summary(counters, gauges))
-    out.extend(_service_summary(counters))
     if gauges:
         out.append("")
         out.append("== gauges ==")

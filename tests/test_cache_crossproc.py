@@ -1,10 +1,16 @@
-"""Two processes hammer one on-disk kernel store while injected disk
-faults (torn writes, corrupted media, mid-publish kills) fire.
+"""Processes sharing one on-disk kernel store.
 
-The crash-consistency contract under test (DESIGN.md §11): no reader
-ever observes a half-published artifact or a checksum mismatch, and a
-recovery sweep plus eviction pass restores the bound with every
-surviving entry intact — no matter where a publisher died.
+Two processes hammer the store while injected disk faults (torn
+writes, corrupted media, mid-publish kills) fire.  The crash-consistency
+contract under test (DESIGN.md §11): no reader ever observes a
+half-published artifact or a checksum mismatch, and a recovery sweep
+plus eviction pass restores the bound with every surviving entry intact
+— no matter where a publisher died.
+
+Processes that miss the same kernel at once compile it once (DESIGN.md
+§12): the build lock holds them back while one compiles, a killed
+holder hands the build on, and a waiter past its deadline compiles on
+its own.
 """
 
 from __future__ import annotations
@@ -15,14 +21,19 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.core.cache import DiskKernelCache
+from repro.core.cache import DiskKernelCache, default_cache
+from repro.core.resilience import clear_session_state
+from tests._build_worker import compile_one
 from tests._cache_hammer import KEYS, payload_for
+from tests.conftest import requires_compiler
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,3 +193,137 @@ def test_two_processes_share_one_entry(tmp_path):
                              text=True, timeout=60)
         assert out.returncode == 0, out.stderr
     assert bytes.fromhex(out.stdout.strip()) == payload_for(key)
+
+
+# -- one compile per kernel across processes ---------------------------
+
+def _counting_cc(tmp_path: Path, log: Path, sleep_s: float) -> Path:
+    """A gcc that appends its pid to ``log`` for every compile (an
+    append, so concurrent compiles are all counted) and sleeps
+    ``sleep_s`` before compiling; ``--version`` probes pass through
+    uncounted."""
+    script = tmp_path / "counting-cc"
+    script.write_text(f"""#!/bin/sh
+if [ "$1" = "--version" ]; then exec gcc --version; fi
+echo $$ >> "{log}"
+sleep {sleep_s}
+exec gcc "$@"
+""")
+    script.chmod(0o755)
+    return script
+
+
+def _spawn_kernel_build(store: Path, cc: Path, tier: str,
+                   order: list[int]) -> subprocess.Popen:
+    env = dict(os.environ,
+               REPRO_CACHE_DIR=str(store),
+               REPRO_CC=f"gcc={cc}",
+               PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
+    for var in ("REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND",
+                "REPRO_COMPILE_DEADLINE"):
+        env.pop(var, None)
+    cmd = [sys.executable, "-c",
+           f"from tests._build_worker import main; "
+           f"main({tier!r}, {order!r})"]
+    return subprocess.Popen(cmd, env=env, cwd=REPO_ROOT,
+                            stderr=subprocess.PIPE, text=True)
+
+
+@requires_compiler
+@pytest.mark.parametrize("tier", ["sync", "async"])
+def test_processes_compile_each_kernel_once(tmp_path, tier):
+    """Four processes build the same three kernels at once on one empty
+    store: the compiler runs exactly three times, and every kernel ends
+    native with the right answer in every process."""
+    log = tmp_path / "cc.log"
+    cc = _counting_cc(tmp_path, log, sleep_s=1.0)
+    # rotated, so processes both build side by side and wait on each other
+    orders = ([0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 1, 2])
+    procs = [_spawn_kernel_build(tmp_path / "store", cc, tier, order)
+             for order in orders]
+    for proc in procs:
+        _, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+    assert len(log.read_text().splitlines()) == 3
+
+
+@pytest.fixture
+def holder(tmp_path, monkeypatch):
+    """A process inside its compile of kernel 0, holding that kernel's
+    build lock while its compiler sleeps; this process is pointed at
+    the same store with the host's own compiler.  Yields the holder;
+    the holder and its compiler are killed on the way out."""
+    store, log = tmp_path / "store", tmp_path / "cc.log"
+    cc = _counting_cc(tmp_path, log, sleep_s=120)
+    proc = _spawn_kernel_build(store, cc, "sync", [0])
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND",
+                "REPRO_OBS"):
+        monkeypatch.delenv(var, raising=False)
+    default_cache.clear()
+    clear_session_state()
+    try:
+        deadline = time.monotonic() + 120
+        while not (log.exists() and log.read_text().split()):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "holder never compiled"
+            time.sleep(0.05)
+        yield proc
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        for pid in log.read_text().split():
+            try:   # the compiler runs in its own process group
+                os.killpg(int(pid), signal.SIGKILL)
+            except OSError:
+                pass
+        default_cache.clear()
+        clear_session_state()
+
+
+def _build_lock_span(kernel):
+    """The kernel's one ``build_lock`` span, checked to sit under
+    ``acquire`` so a trace accounts for the wait."""
+    spans = {s.span_id: s for s in kernel.trace}
+    waits = [s for s in kernel.trace if s.name == "build_lock"]
+    assert len(waits) == 1, [s.name for s in kernel.trace]
+    assert spans[waits[0].parent_id].name == "acquire"
+    return waits[0]
+
+
+@requires_compiler
+def test_killed_holder_hands_the_build_to_a_waiter(holder):
+    """The holder is SIGKILLed while its compiler sleeps: its lock dies
+    with it, and the waiter compiles the kernel itself."""
+    built = {}
+    waiter = threading.Thread(
+        target=lambda: built.setdefault("kernel", compile_one(0)))
+    waiter.start()
+    time.sleep(1.0)             # the waiter is now blocked on the lock
+    assert waiter.is_alive()
+    holder.kill()
+    waiter.join(timeout=120)
+    assert not waiter.is_alive()
+    kernel = built["kernel"]
+    assert kernel.tier == "native", kernel.fallback_reason
+    assert kernel.report.cache_source == "compiled"
+    a = np.ones(8, np.float32)
+    kernel(a, 8)
+    assert np.all(a == np.float32(2.25))
+    wait = _build_lock_span(kernel)
+    assert wait.attrs["outcome"] == "held"
+    assert wait.duration_ms >= 500
+
+
+@requires_compiler
+def test_waiter_past_its_deadline_compiles_alone(holder, monkeypatch):
+    """A waiter waits no longer than its compile deadline, then compiles
+    unlocked while the holder still holds the lock."""
+    monkeypatch.setenv("REPRO_COMPILE_DEADLINE", "1")
+    kernel = compile_one(0)
+    assert holder.poll() is None        # the lock was never released
+    assert kernel.tier == "native", kernel.fallback_reason
+    assert kernel.report.cache_source == "compiled"
+    wait = _build_lock_span(kernel)
+    assert wait.attrs["outcome"] == "timeout"
+    assert 900 <= wait.duration_ms < 30_000

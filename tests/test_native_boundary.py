@@ -46,8 +46,7 @@ from tests.conftest import requires_compiler
 
 pytestmark = requires_compiler
 
-_ENV = ("REPRO_FAULTS", "REPRO_SERVICE", "REPRO_TIER", "REPRO_BACKEND",
-        "REPRO_CC")
+_ENV = ("REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND", "REPRO_CC")
 
 
 @pytest.fixture(scope="module")

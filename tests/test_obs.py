@@ -365,15 +365,6 @@ class TestReport:
         text = render_report([], obs.get_registry().snapshot())
         assert "tiered.shed = 4" in text
 
-    def test_service_section_only_with_service_traffic(self):
-        text = render_report([], obs.get_registry().snapshot())
-        assert "== compile service ==" not in text
-        obs.counter("service.requests", verb="compile")
-        text = render_report([], obs.get_registry().snapshot())
-        assert "== compile service ==" in text
-        assert "service.dedup = 0" in text   # zeros, not omission
-        assert 'service.requests{verb=compile} = 1' in text
-
 
 class TestSimulatorProfile:
     def test_classify_mnemonic(self):

@@ -40,13 +40,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture(autouse=True)
 def _pin_faults(monkeypatch):
     """Keep this suite hermetic: an ambient ``REPRO_FAULTS`` (the CI
-    chaos job sets one) must not perturb its exact assertions, and an
-    ambient ``REPRO_SERVICE`` (the CI service job sets one) must not
-    route this suite's fake-``REPRO_CC`` compiles to a daemon that
-    cannot see the monkeypatched environment.  Service behaviour is
-    covered by ``tests/test_serve.py``."""
+    chaos job sets one) must not perturb its exact assertions."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE", raising=False)
 
 
 @pytest.fixture
@@ -252,6 +247,23 @@ def build_unique(salt: float, name: str):
     return fn
 
 
+#: Takes and stamps every shard lock of the store at ``argv[1]``, says
+#: ``locked`` and holds them until its stdin closes.
+_HOLD_EVERY_SHARD_LOCK = """
+import fcntl, os, sys
+fds = []
+for shard in range(256):
+    path = os.path.join(sys.argv[1], f"{shard:02x}")
+    os.makedirs(path, exist_ok=True)
+    fd = os.open(os.path.join(path, ".lock"), os.O_RDWR | os.O_CREAT)
+    fcntl.flock(fd, fcntl.LOCK_EX)
+    os.write(fd, str(os.getpid()).encode())
+    fds.append(fd)
+print("locked", flush=True)
+sys.stdin.read()
+"""
+
+
 @requires_compiler
 class TestSmokeAndQuarantine:
     def _compile_broken_so(self, tmp_path: Path, symbol: str,
@@ -327,6 +339,33 @@ class TestSmokeAndQuarantine:
         # refused before any compiler ran
         assert exc.value.report.compiler_invocations == 0
 
+    def test_quarantine_falls_back_when_the_cache_is_wedged(
+            self, clean_state, monkeypatch):
+        """Every shard lock is held by a live process, so dropping the
+        crashed artifact from the store times out; the kernel is still
+        quarantined and served by the simulator."""
+        monkeypatch.setenv("REPRO_CACHE_LOCK_TIMEOUT", "0.05")
+        default_cache.disk   # opened on an absent root: no sweep to wait out
+        wedge = subprocess.Popen(
+            [sys.executable, "-c", _HOLD_EVERY_SHARD_LOCK,
+             str(clean_state)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        try:
+            assert wedge.stdout.readline().strip() == "locked"
+            monkeypatch.setenv("REPRO_FAULTS", "smoke.kill_child:n=1")
+            kernel = compile_staged(build_unique(37.5, "wedged_k"),
+                                    [array_of(FLOAT), INT32],
+                                    name="wedged_k",
+                                    backend="auto").wait_native()
+        finally:
+            wedge.stdin.close()
+            wedge.wait(timeout=30)
+        assert kernel.backend == BackendKind.SIMULATED
+        assert kernel.fallback_reason.startswith("quarantined: crashed")
+        a = np.ones(8, np.float32)
+        kernel(a, 8)
+        assert a[0] == pytest.approx(2.0 + 37.5)
+
     def test_healthy_kernel_smoke_passes(self, clean_state):
         kernel = compile_staged(build_unique(23.5, "healthy_k"),
                                 [array_of(FLOAT), INT32],
@@ -368,6 +407,29 @@ class TestDiskCache:
         # no compiler subprocess spawned the second time
         assert reports[1]["cache_source"] == "disk"
         assert reports[1]["invocations"] == 0
+
+    def test_code_generator_change_is_a_miss(self, clean_state,
+                                             monkeypatch):
+        """The disk key covers the emitted C: after a code-generator
+        change a store filled before it serves no stale library."""
+        import repro.codegen.native as native_mod
+
+        fn = build_unique(41.5, "codegen_k")
+        types = [array_of(FLOAT), INT32]
+        k1 = compile_staged(fn, types, name="codegen_k",
+                            backend="auto").wait_native()
+        assert k1.report.cache_source == "compiled"
+        default_cache.clear()
+        clear_session_state()
+        emit = native_mod.emit_c_source
+        monkeypatch.setattr(
+            native_mod, "emit_c_source",
+            lambda *a, **k: emit(*a, **k) + "/* edited generator */\n")
+        k2 = compile_staged(fn, types, name="codegen_k",
+                            backend="auto").wait_native()
+        assert k2.backend == BackendKind.NATIVE
+        assert k2.report.cache_source == "compiled"
+        assert k2.c_source.endswith("/* edited generator */\n")
 
     def test_corrupted_entry_recompiled_not_loaded(self, clean_state):
         fn = build_unique(31.5, "corrupt_k")

@@ -53,13 +53,8 @@ def _expected(salt: float, n: int = 8) -> np.ndarray:
 @pytest.fixture(autouse=True)
 def _pin_faults(monkeypatch):
     """Keep this suite hermetic: an ambient ``REPRO_FAULTS`` (the CI
-    chaos job sets one) must not perturb its exact assertions, and an
-    ambient ``REPRO_SERVICE`` (the CI service job sets one) must not
-    route this suite's fake-``REPRO_CC`` compiles to a daemon that
-    cannot see the monkeypatched environment.  Service behaviour is
-    covered by ``tests/test_serve.py``."""
+    chaos job sets one) must not perturb its exact assertions."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE", raising=False)
 
 
 @pytest.fixture
