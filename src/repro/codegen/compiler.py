@@ -261,10 +261,16 @@ def _run_with_watchdog(cmd: Sequence[str], timeout: float,
                                        stdout, stderr)
 
 
+# Read once, at import: ``sysconfig`` publishes its config-var cache
+# before it fills it, so two threads' first reads (the first builds on
+# two background workers) can race and one see it empty.
+_PYTHON_INCLUDE_DIR = Path(sysconfig.get_paths()["include"])
+
+
 def python_include_dir() -> Path:
     """The directory holding this interpreter's ``Python.h``, which
     every generated kernel includes for its extension glue."""
-    return Path(sysconfig.get_paths()["include"])
+    return _PYTHON_INCLUDE_DIR
 
 
 def compile_shared_library(source: str, workdir: Path,

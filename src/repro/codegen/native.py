@@ -191,39 +191,16 @@ class NativeKernel:
                             ctypes.c_void_p], None)
 
 
-#: ``{spec version: {intrinsic name: cpuids}}``, built once per version.
-_CPUIDS_BY_VERSION: dict[str, dict[str, tuple[str, ...]]] = {}
-
-
-def _cpuids_by_name(version: str) -> dict[str, tuple[str, ...]]:
-    table = _CPUIDS_BY_VERSION.get(version)
-    if table is None:
-        from repro.spec.catalog import all_entries
-        table = {e.name: tuple(e.cpuids) for e in all_entries(version)}
-        _CPUIDS_BY_VERSION[version] = table
-    return table
-
-
-def required_isas(staged: StagedFunction,
-                  version: str | None = None) -> frozenset[str]:
-    """The ISAs a staged function's intrinsics need, from their CPUIDs.
-
-    ``version`` selects the spec release to resolve intrinsics against;
-    it defaults to ``REPRO_SPEC_VERSION`` and then to the registry's
-    default, so Table-3 version experiments exercise the real link path.
-    The name→CPUID lookup is built once per version.
-    """
+def required_isas(staged: StagedFunction) -> frozenset[str]:
+    """The ISAs a staged function's intrinsics need: the union of the
+    CPUIDs the eDSL generator stamped on each intrinsic's class."""
     from repro.isa.base import IntrinsicsDef
     from repro.lms.defs import iter_defs
-    from repro.spec.versions import DEFAULT_VERSION
 
-    version = (version or os.environ.get("REPRO_SPEC_VERSION")
-               or DEFAULT_VERSION)
-    by_name = _cpuids_by_name(version)
     needed: set[str] = set()
     for stm, _ in iter_defs(staged.body):
         if isinstance(stm.rhs, IntrinsicsDef):
-            needed.update(by_name.get(stm.rhs.intrinsic_name, ()))
+            needed.update(stm.rhs.cpuids)
     return frozenset(needed)
 
 

@@ -35,6 +35,13 @@ from repro.lms.defs import Block, Stm
 from repro.lms.expr import Const, Exp, Sym
 from repro.lms.staging import StagedFunction
 
+# Every artifact is a CPython extension of this interpreter's ABI.  Read
+# once, at import: ``sysconfig`` publishes its config-var cache before it
+# fills it, so two threads' first reads (the first builds on two
+# background workers) can race and one see no suffix, keying its kernel
+# where no other process looks.
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ""
+
 
 def _exp_token(e: Exp) -> str:
     if isinstance(e, Const):
@@ -239,7 +246,7 @@ class DiskKernelCache:
         another ABI."""
         token = "\n".join([source_digest, compiler_version,
                            " ".join(flags), " ".join(sorted(isas)),
-                           sysconfig.get_config_var("EXT_SUFFIX") or ""])
+                           _EXT_SUFFIX])
         return hashlib.sha256(token.encode()).hexdigest()[:32]
 
     # -- shard geometry and locking ------------------------------------
@@ -555,14 +562,18 @@ class DiskKernelCache:
                 lock.release()
 
     def recover(self) -> dict[str, int]:
-        """Sweep every shard for crash debris: orphaned temp files and
-        torn pairs (either half without a readable other half).
+        """Sweep every shard for crash debris: orphaned temp files, torn
+        pairs (either half without a readable other half) and build-lock
+        files no process holds (a killed holder's).
 
         Runs under each shard's lock, so an in-flight publish in
-        another process is never mistaken for debris.  Returns removal
-        counts; also invoked on cache open.
+        another process is never mistaken for debris.  Returns the
+        counts of removed entry debris (freed build-lock files hold no
+        data and only join the ``cache.disk.recovered`` counter); also
+        invoked on cache open.
         """
         removed = {"tmp": 0, "orphan_so": 0, "orphan_meta": 0}
+        freed_locks = 0
         for shard in self._shards():
             try:
                 lock = self._acquire_shard_lock(shard)
@@ -580,6 +591,9 @@ class DiskKernelCache:
                             removed["tmp"] += 1
                         except OSError:
                             pass
+                    elif name.endswith(".build"):
+                        freed_locks += self._unlink_free_build_lock(
+                            shard / name)
                 for name in sorted(names):
                     if name.endswith(".so") and \
                             f"{name[:-3]}.json" not in names:
@@ -609,10 +623,36 @@ class DiskKernelCache:
                             removed["orphan_meta"] += 1
             finally:
                 lock.release()
-        swept = sum(removed.values())
+        swept = sum(removed.values()) + freed_locks
         if swept:
             obs.counter("cache.disk.recovered", swept)
         return removed
+
+    @staticmethod
+    def _unlink_free_build_lock(path: Path) -> bool:
+        """Unlink the build-lock file ``path`` if no process holds it.
+
+        It is unlinked while locked, as :meth:`build_lock`'s holder
+        unlinks it, so a waiter that opened it re-checks the inode and
+        retries on a new file; and only if ``path`` still names the
+        file locked, not a new holder's.
+        """
+        if fcntl is None:  # pragma: no cover - non-POSIX hosts
+            return False
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:
+            return False
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.stat(path).st_ino != os.fstat(fd).st_ino:
+                return False
+            path.unlink()
+            return True
+        except OSError:     # held (BlockingIOError), or already gone
+            return False
+        finally:
+            os.close(fd)
 
     def __len__(self) -> int:
         # shard census: only two-character shard directories hold entries

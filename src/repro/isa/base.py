@@ -29,8 +29,8 @@ class IntrinsicsDef(Def):
     Class attributes (set by the generator):
 
     * ``intrinsic_name`` — the C name, e.g. ``"_mm256_add_pd"``;
-    * ``category`` / ``intrinsic_types`` / ``performance`` / ``header`` —
-      straight from the XML specification;
+    * ``category`` / ``intrinsic_types`` / ``performance`` / ``header`` /
+      ``cpuids`` — straight from the XML specification;
     * ``params_meta`` — ``(varname, c_type, kind)`` per declared
       parameter, ``kind`` in ``{"vec", "scalar", "imm", "mem", "mask"}``;
     * ``mem_effects`` — one of ``"r"``/``"w"``/``"rw"`` per memory param
@@ -45,6 +45,7 @@ class IntrinsicsDef(Def):
     intrinsic_types: tuple[str, ...] = ()
     performance: dict = {}
     header: str = "immintrin.h"
+    cpuids: tuple[str, ...] = ()
     params_meta: tuple[tuple[str, str, str], ...] = ()
     mem_effects: tuple[str, ...] = ()
     global_effect: bool = False

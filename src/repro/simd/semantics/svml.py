@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from repro.simd.semantics import register_as
 from repro.simd.semantics.util import DTYPE_BY_SUFFIX, result
 
 _PREFIXES = ("_mm", "_mm256", "_mm512")
+
+
+def _special(fn_name: str):
+    """``scipy.special.<fn_name>``, imported on the first call.  scipy
+    serves only the five semantics below, whose intrinsics run natively
+    only under icc, so ``import repro`` neither needs nor loads it."""
+
+    def fn(a):
+        from scipy import special
+        return getattr(special, fn_name)(a)
+
+    return fn
+
 
 _UNARY = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -19,9 +31,9 @@ _UNARY = {
     "expm1": np.expm1,
     "log": np.log, "log2": np.log2, "log10": np.log10, "log1p": np.log1p,
     "cbrt": np.cbrt, "invsqrt": lambda a: 1.0 / np.sqrt(a),
-    "erf": _sp.erf, "erfc": _sp.erfc, "erfinv": _sp.erfinv,
-    "cdfnorm": lambda a: _sp.ndtr(a),
-    "cdfnorminv": lambda a: _sp.ndtri(a),
+    "erf": _special("erf"), "erfc": _special("erfc"),
+    "erfinv": _special("erfinv"),
+    "cdfnorm": _special("ndtr"), "cdfnorminv": _special("ndtri"),
     "trunc": np.trunc, "nearbyint": np.rint, "rint": np.rint,
     "svml_ceil": np.ceil, "svml_floor": np.floor, "svml_round": np.round,
     "svml_sqrt": np.sqrt,

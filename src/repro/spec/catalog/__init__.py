@@ -8,26 +8,34 @@ the combinatorial op x type x mask structure of the vendor set so the
 eDSL generator is exercised at realistic scale (Table 1b).
 """
 
+from functools import cache
+
 from repro.spec.catalog.build import entry, for_lanes_pseudocode
 from repro.spec.catalog.core import core_entries
 from repro.spec.catalog.families import family_entries
+from repro.spec.model import IntrinsicSpec
 
 
-def all_entries(version: str = "3.3.16"):
+@cache
+def _unique_entries() -> tuple[IntrinsicSpec, ...]:
+    """Every entry of every version, first of each name, built once per
+    process: the entries are frozen and the same in every version, which
+    only filters them."""
+    seen: set[str] = set()
+    out = []
+    for e in list(core_entries()) + list(family_entries()):
+        if e.name not in seen:
+            seen.add(e.name)
+            out.append(e)
+    return tuple(out)
+
+
+def all_entries(version: str = "3.3.16") -> list[IntrinsicSpec]:
     """Every catalog entry visible in the given spec version."""
     from repro.spec.versions import version_filter
 
-    entries = list(core_entries()) + list(family_entries())
     flt = version_filter(version)
-    seen: set[str] = set()
-    out = []
-    for e in entries:
-        if e.name in seen:
-            continue
-        seen.add(e.name)
-        if flt(e):
-            out.append(e)
-    return out
+    return [e for e in _unique_entries() if flt(e)]
 
 
 __all__ = ["all_entries", "entry", "for_lanes_pseudocode"]

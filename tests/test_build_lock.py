@@ -17,6 +17,8 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -34,6 +36,7 @@ from repro.codegen.compiler import (
     compiler_chain,
     flag_ladder,
     inspect_system,
+    python_include_dir,
 )
 from repro.codegen.native import (
     NativeLinkError,
@@ -291,6 +294,27 @@ class TestBuildLock:
         assert store.get(KEY).so_path.read_bytes() == payload_for(KEY)
         assert store.get(KEYS[1]) is not None
 
+    def test_recovery_sweeps_a_file_left_by_a_killed_holder(self, store):
+        path = _lock_file(store, KEY)
+        path.parent.mkdir(parents=True)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, os, sys, time\n"
+             "fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)\n"
+             "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+             "print('held', flush=True)\n"
+             "time.sleep(60)\n", str(path)],
+            stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "held\n"
+            store.recover()
+            assert path.is_file()       # held by a live process
+        finally:
+            holder.kill()
+            holder.communicate(timeout=30)
+        store.recover()
+        assert not path.exists()
+
 
 def _staged(salt: float, name: str):
     """A unique-by-salt scalar-loop kernel (compiles on any host)."""
@@ -341,11 +365,41 @@ class TestEmittedSourceKey:
 
         args = ("a" * 64, "gcc", ("-O3",), ("AVX",))
         here = DiskKernelCache.artifact_key(*args)
-        monkeypatch.setattr(
-            cache_mod.sysconfig, "get_config_var",
-            lambda name: ".cpython-399-x86_64-linux-gnu.so"
-            if name == "EXT_SUFFIX" else None)
+        monkeypatch.setattr(cache_mod, "_EXT_SUFFIX",
+                            ".cpython-399-x86_64-linux-gnu.so")
         assert DiskKernelCache.artifact_key(*args) != here
+
+    def test_first_builds_on_racing_threads_agree_on_key_and_headers(
+            self, monkeypatch):
+        """``sysconfig`` publishes its config-var cache empty and fills
+        it after, so threads whose first reads race (a process's first
+        builds on two background workers) can see no ``EXT_SUFFIX``.
+        Every build must use the values read at import."""
+        import sysconfig
+
+        args = ("a" * 64, "gcc", ("-O3",), ("AVX",))
+        want = (DiskKernelCache.artifact_key(*args), python_include_dir())
+        monkeypatch.setattr(sysconfig, "_CONFIG_VARS", None)
+        if hasattr(sysconfig, "_CONFIG_VARS_INITIALIZED"):  # 3.12+
+            monkeypatch.setattr(sysconfig, "_CONFIG_VARS_INITIALIZED",
+                                False)
+        for name in [m for m in sys.modules
+                     if m.startswith("_sysconfigdata_")]:
+            monkeypatch.delitem(sys.modules, name)
+        barrier = threading.Barrier(4)
+        got = []
+
+        def first_build():
+            barrier.wait(10)
+            got.append((DiskKernelCache.artifact_key(*args),
+                        python_include_dir()))
+
+        threads = [threading.Thread(target=first_build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert got == [want] * 4
 
     @requires_compiler
     def test_build_native_compiles_the_source_it_is_given(

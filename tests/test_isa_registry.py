@@ -7,6 +7,7 @@ from repro.isa.base import IntrinsicsError
 from repro.lms import staging_scope
 from repro.lms.graph import current_builder
 from repro.lms.types import FLOAT, INT32, M256, array_of
+from repro.spec.catalog import all_entries
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,13 @@ class TestLoading:
         assert cls.intrinsic_name == "_mm256_add_pd"
         assert cls.category == ("Arithmetic",)
         assert cls.ret_type is not None
+
+    def test_every_class_carries_its_catalog_cpuids(self):
+        cir = IntrinsicsIR()
+        cpuids = {e.name: e.cpuids for e in all_entries(cir.version)}
+        assert len(cir) > 3000
+        for name in cir.names():
+            assert cir.node_class(name).cpuids == cpuids[name], name
 
 
 class TestStagingTypeChecks:

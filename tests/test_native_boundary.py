@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import gc
 import sys
-import sysconfig
 
 import numpy as np
 import pytest
 
+import repro.codegen.compiler as compiler_mod
 import repro.codegen.native as native_mod
+import repro.core.cache as cache_mod
 from repro.codegen.native import NativeLinkError
 from repro.core import BackendKind, compile_staged
 from repro.core.cache import DiskKernelCache, default_cache
@@ -321,20 +322,15 @@ class TestExtensionGlue:
     def test_artifact_key_names_the_abi(self, monkeypatch):
         args = ("ab" * 8, "gcc 12", ["-O3"], ["AVX"])
         key = DiskKernelCache.artifact_key(*args)
-        real = sysconfig.get_config_var
-        monkeypatch.setattr(
-            sysconfig, "get_config_var",
-            lambda name: ".cpython-39-x86_64-linux-gnu.so"
-            if name == "EXT_SUFFIX" else real(name))
+        monkeypatch.setattr(cache_mod, "_EXT_SUFFIX",
+                            ".cpython-39-x86_64-linux-gnu.so")
         assert DiskKernelCache.artifact_key(*args) != key
 
     def test_missing_headers_degrade_like_a_missing_compiler(
             self, build, monkeypatch, tmp_path):
         empty = tmp_path / "include"
         empty.mkdir()
-        real = sysconfig.get_paths
-        monkeypatch.setattr(sysconfig, "get_paths", lambda *a, **k: {
-            **real(*a, **k), "include": str(empty)})
+        monkeypatch.setattr(compiler_mod, "_PYTHON_INCLUDE_DIR", empty)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kc"))
 
         def no_compiler(*args, **kwargs):

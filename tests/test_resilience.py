@@ -503,69 +503,27 @@ class TestKernelCacheThreadSafety:
         assert cache.hits + cache.misses == total_gets
 
 
-class TestVersionThreading:
-    def test_required_isas_version_parameter(self):
-        from repro.codegen.native import required_isas
+class TestRequiredIsas:
+    """A kernel's ISAs are the CPUIDs the generator stamped on its
+    intrinsics' classes, whichever spec version its eDSL came from."""
+
+    @staticmethod
+    def _fma_kernel(version: str):
         from repro.isa import load_isas
 
-        avx = load_isas("AVX")
+        cir = load_isas("AVX", "FMA", version=version)
 
-        def fn(a):
-            v = avx._mm256_loadu_ps(a, 0)
-            avx._mm256_storeu_ps(a, v, 0)
+        def fma(a):
+            v = cir._mm256_loadu_ps(a, 0)
+            cir._mm256_storeu_ps(a, cir._mm256_fmadd_ps(v, v, v), 0)
 
-        sf = stage_function(fn, [array_of(FLOAT)], "ldst_v")
-        assert "AVX" in required_isas(sf)
-        assert "AVX" in required_isas(sf, version="3.2.2")
+        return stage_function(fma, [array_of(FLOAT)], "fma_v")
 
-    def test_required_isas_env_override(self, monkeypatch):
+    @pytest.mark.parametrize("version", ["3.2.2", "3.3.16", "3.4"])
+    def test_each_spec_version_stamps_its_eDSL(self, version):
         from repro.codegen.native import required_isas
-        from repro.isa import load_isas
 
-        avx512 = load_isas("AVX512F", "AVX512VL")
-        picked = [f for f in dir(avx512) if f.startswith("_mm")]
-        assert picked, "catalog should expose AVX512 intrinsics"
-
-        av = load_isas("AVX")
-
-        def fn(a):
-            v = av._mm256_loadu_ps(a, 0)
-            av._mm256_storeu_ps(a, v, 0)
-
-        sf = stage_function(fn, [array_of(FLOAT)], "ldst_env")
-        monkeypatch.setenv("REPRO_SPEC_VERSION", "3.3.16")
-        assert "AVX" in required_isas(sf)
-
-    def test_lookup_builds_the_catalog_once_per_version(self,
-                                                        monkeypatch):
-        import repro.codegen.native as native_mod
-        import repro.spec.catalog as catalog
-        from repro.codegen.native import required_isas
-        from repro.isa import load_isas
-
-        real = catalog.all_entries
-        built: list[str] = []
-
-        def counted(version="3.3.16"):
-            built.append(version)
-            return real(version)
-
-        monkeypatch.setattr(catalog, "all_entries", counted)
-        monkeypatch.setattr(native_mod, "_CPUIDS_BY_VERSION", {})
-        avx = load_isas("AVX")
-
-        def load_store(a):
-            avx._mm256_storeu_ps(a, avx._mm256_loadu_ps(a, 0), 0)
-
-        def store_zero(a):
-            avx._mm256_storeu_ps(a, avx._mm256_setzero_ps(), 0)
-
-        kernels = [stage_function(load_store, [array_of(FLOAT)], "ls"),
-                   stage_function(store_zero, [array_of(FLOAT)], "sz")]
-        for version in ("3.3.16", "3.2.2"):
-            for sf in kernels:
-                assert "AVX" in required_isas(sf, version=version)
-        assert built == ["3.3.16", "3.2.2"]
+        assert required_isas(self._fma_kernel(version)) == {"AVX", "FMA"}
 
 
 class TestSmokeTimeout:

@@ -126,6 +126,20 @@ class TestSVML:
         out = registry["_mm256_cdfnorm_pd"](CTX, av)
         assert np.allclose(out.view(np.float64), ndtr(xs), rtol=1e-12)
 
+    @pytest.mark.parametrize("svml,scipy_name", [
+        ("erf", "erf"), ("erfc", "erfc"), ("erfinv", "erfinv"),
+        ("cdfnorm", "ndtr"), ("cdfnorminv", "ndtri")])
+    def test_scipy_backed_semantics_are_scipy(self, svml, scipy_name):
+        from scipy import special
+
+        from repro.lms.types import M256D
+
+        xs = np.array([0.05, 0.2, 0.5, 0.9], dtype=np.float64)
+        out = registry[f"_mm256_{svml}_pd"](
+            CTX, VecValue.from_lanes(M256D, np.float64, xs))
+        want = getattr(special, scipy_name)(xs)
+        assert out.view(np.float64).tobytes() == want.tobytes()
+
     def test_sincos_returns_sin_stores_cos(self):
         xs = np.linspace(0, 1.5, 8, dtype=np.float32)
         a = VecValue.from_lanes(M256, np.float32, xs)
