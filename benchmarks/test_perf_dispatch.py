@@ -6,18 +6,22 @@ The numbers behind DESIGN.md §10: with ``REPRO_TIER=async`` a fresh
 kernel must answer its first call from the simulated tier in
 milliseconds (hard-asserted < 50 ms, the acceptance bar) while the
 native compile runs in the background; ``compile_many`` fans N ladder
-walks across the worker pool.  The warm-call micro-benchmark times four
+walks across the worker pool.  The warm-call micro-benchmark times five
 things interleaved best-of-N, so machine noise hits them alike: a plain
-``NativeKernel`` call (the generated extension glue), the legacy
+``NativeKernel`` call (the generated extension glue), a sync native
+``CompiledKernel`` call of a kernel of the same shape, the legacy
 re-derive-ctypes-per-call loop, the bare ctypes call of the raw kernel
 symbol with arguments pre-marshalled by ``marshalling_plan`` (the
 floor) and ``call_batch`` at n=1.  Everything lands in
 ``BENCH_dispatch.json``, including ``call_over_floor`` (a plain call
-over the floor, below 1 since the glue replaced ctypes on the call
-path) and ``batch1_over_call`` (``call_batch`` at n=1 over a plain
-call); the only hard gates are the 50 ms first-call bound and "the plan
-does not lose" to the legacy loop — speedup targets are tracked through
-the JSON, not asserted, so a loaded CI box cannot flake the suite.
+over the floor: about 0.4, since a call is the glue's C entry with no
+Python frame and the floor is a ctypes call), ``compiled_over_call``
+(a ``CompiledKernel`` call over a plain call: about 1, both being the
+same C call) and ``batch1_over_call`` (``call_batch`` at n=1 over a
+plain call, about 1.7); the only hard gates are the 50 ms first-call
+bound and "the plan does not lose" to the legacy loop — speedup targets
+are tracked through the JSON, not asserted, so a loaded CI box cannot
+flake the suite.
 """
 
 from __future__ import annotations
@@ -115,6 +119,7 @@ def test_perf_dispatch(monkeypatch, tmp_path):
         async_k.wait_native(120)
         swap_latency = time.perf_counter() - t0 + ttfr_async
         assert async_k.backend == BackendKind.NATIVE
+        assert sync_k.backend == BackendKind.NATIVE
         wall += ttfr_sync + ttfr_async + swap_latency
 
         # -- warm native call overhead against named baselines ---------
@@ -126,6 +131,7 @@ def test_perf_dispatch(monkeypatch, tmp_path):
                                       args))
         calls = {
             "plan": lambda: native(*args),
+            "compiled": lambda: sync_k(*args),
             "legacy": lambda: _legacy_native_call(native, args),
             "floor": lambda: native._fn(*floor_args),
             "batch1": lambda: native.call_batch([args]),
@@ -165,7 +171,9 @@ def test_perf_dispatch(monkeypatch, tmp_path):
         for label, seconds in [
                 ("ttfr-sync", ttfr_sync), ("ttfr-tiered", ttfr_async),
                 ("hot-swap-latency", swap_latency),
-                ("call-plan", best_plan), ("call-legacy", best_legacy),
+                ("call-plan", best_plan),
+                ("call-compiled", best["compiled"]),
+                ("call-legacy", best_legacy),
                 ("call-floor", best["floor"]),
                 ("call-batch1", best["batch1"]),
                 ("compile-seq", sequential),
@@ -179,6 +187,7 @@ def test_perf_dispatch(monkeypatch, tmp_path):
                         "marshalling_plan": plan_ratio,
                         "compile_many": batch_ratio},
             "ratio": {"call_over_floor": best_plan / best["floor"],
+                      "compiled_over_call": best["compiled"] / best_plan,
                       "batch1_over_call": best["batch1"] / best_plan},
             "workers": BATCH,
         }
@@ -189,6 +198,7 @@ def test_perf_dispatch(monkeypatch, tmp_path):
              ("ttfr tiered", ttfr_async * 1e3),
              ("hot-swap", swap_latency * 1e3),
              ("call plan [us]", best_plan * 1e6),
+             ("call compiled [us]", best["compiled"] * 1e6),
              ("call legacy [us]", best_legacy * 1e6),
              ("call floor [us]", best["floor"] * 1e6),
              ("call_batch n=1 [us]", best["batch1"] * 1e6),

@@ -260,16 +260,6 @@ def emit_batch_wrapper(staged: StagedFunction, fn_name: str) -> str:
     )
 
 
-#: Struct-module codes a buffer may carry for each NumPy dtype kind and
-#: itemsize (``l`` is 8 bytes on LP64 hosts and 4 on LLP64 ones; the
-#: glue checks the itemsize too).
-_BUFFER_FORMATS = {
-    "f": {4: "f", 8: "d"},
-    "b": {1: "?"},
-    "i": {1: "b", 2: "h", 4: "il", 8: "lq"},
-    "u": {1: "B", 2: "H", 4: "IL", 8: "LQ"},
-}
-
 _GLUE_HELPERS = r"""
 /* ---- CPython extension glue (DESIGN.md §10): the generated JNI analog */
 
@@ -281,8 +271,9 @@ _GLUE_HELPERS = r"""
 #endif
 
 typedef struct {
-    PyObject *ndarray;   /* numpy.ndarray, bound at link time */
     PyObject *plan;      /* marshalling_plan(staged): the slow path */
+    /* each array parameter's dtype, set when the module executes */
+    PyArray_Descr *descr[REPRO_NDESCR];
 } repro_state;
 
 /* One scalar argument, packed by value. */
@@ -304,40 +295,6 @@ repro_bound(PyObject *module)
     return st;
 }
 
-/* One array argument.  The fast path takes an exact ndarray whose
-   buffer is C-contiguous, writable, non-empty and of the element type;
-   anything else goes to plan[j], which raises the boundary's error or
-   returns the address to use. */
-static int
-repro_array(repro_state *st, Py_ssize_t j, PyObject *v,
-            const char *formats, Py_ssize_t itemsize, Py_buffer *view,
-            void **addr)
-{
-    PyObject *address;
-    if (Py_IS_TYPE(v, (PyTypeObject *)st->ndarray)) {
-        if (PyObject_GetBuffer(v, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT
-                               | PyBUF_WRITABLE) == 0) {
-            const char *f = view->format;
-            if (view->len > 0 && view->itemsize == itemsize && f != NULL
-                    && f[0] != '\0' && f[1] == '\0'
-                    && strchr(formats, f[0]) != NULL) {
-                *addr = view->buf;
-                return 0;
-            }
-            PyBuffer_Release(view);
-        } else {
-            PyErr_Clear();
-        }
-        view->obj = NULL;
-    }
-    address = PyObject_CallOneArg(PyTuple_GET_ITEM(st->plan, j), v);
-    if (address == NULL)
-        return -1;
-    *addr = PyLong_AsVoidPtr(address);
-    Py_DECREF(address);
-    return *addr == NULL && PyErr_Occurred() ? -1 : 0;
-}
-
 static PyObject *
 repro_arity(Py_ssize_t got)
 {
@@ -347,29 +304,53 @@ repro_arity(Py_ssize_t got)
 }
 
 static PyObject *
-repro_bind(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+repro_bind(PyObject *self, PyObject *plan)
 {
     repro_state *st = PyModule_GetState(self);
-    PyObject *old_ndarray, *old_plan;
+    PyObject *old;
     if (st == NULL) {
         PyErr_SetString(PyExc_RuntimeError, "kernel glue has no state");
         return NULL;
     }
-    if (nargs != 2 || !PyType_Check(args[0]) || !PyTuple_Check(args[1])
-            || PyTuple_GET_SIZE(args[1]) != REPRO_NARGS) {
-        PyErr_SetString(PyExc_TypeError, "bind(ndarray, plan) takes a "
-                        "type and one plan entry per parameter");
+    if (!PyTuple_Check(plan) || PyTuple_GET_SIZE(plan) != REPRO_NARGS) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind(plan) takes one plan entry per parameter");
         return NULL;
     }
-    old_ndarray = st->ndarray;
-    old_plan = st->plan;
-    Py_INCREF(args[0]);
-    st->ndarray = args[0];
-    Py_INCREF(args[1]);
-    st->plan = args[1];
-    Py_XDECREF(old_ndarray);
-    Py_XDECREF(old_plan);
+    old = st->plan;
+    Py_INCREF(plan);
+    st->plan = plan;
+    Py_XDECREF(old);
     Py_RETURN_NONE;
+}
+"""
+
+#: Emitted only for a kernel with array parameters.
+_GLUE_ARRAY = r"""
+/* One array argument.  The fast path takes an exact ndarray of the
+   parameter's own dtype object that is C-contiguous, writable and
+   non-empty; anything else goes to plan[j], which raises the
+   boundary's error or returns the address to use.  The caller keeps
+   the array alive until the kernel returns. */
+static int
+repro_array(repro_state *st, Py_ssize_t j, PyObject *v,
+            PyArray_Descr *descr, void **addr)
+{
+    PyObject *address;
+    if (PyArray_CheckExact(v)) {
+        PyArrayObject *a = (PyArrayObject *)v;
+        if (PyArray_DESCR(a) == descr && PyArray_IS_C_CONTIGUOUS(a)
+                && PyArray_ISWRITEABLE(a) && PyArray_SIZE(a) > 0) {
+            *addr = PyArray_DATA(a);
+            return 0;
+        }
+    }
+    address = PyObject_CallOneArg(PyTuple_GET_ITEM(st->plan, j), v);
+    if (address == NULL)
+        return -1;
+    *addr = PyLong_AsVoidPtr(address);
+    Py_DECREF(address);
+    return *addr == NULL && PyErr_Occurred() ? -1 : 0;
 }
 """
 
@@ -378,9 +359,11 @@ static int
 repro_traverse(PyObject *m, visitproc visit, void *arg)
 {
     repro_state *st = PyModule_GetState(m);
+    int k;
     if (st != NULL) {
-        Py_VISIT(st->ndarray);
         Py_VISIT(st->plan);
+        for (k = 0; k < REPRO_NDESCR; ++k)
+            Py_VISIT(st->descr[k]);
     }
     return 0;
 }
@@ -389,9 +372,11 @@ static int
 repro_clear(PyObject *m)
 {
     repro_state *st = PyModule_GetState(m);
+    int k;
     if (st != NULL) {
-        Py_CLEAR(st->ndarray);
         Py_CLEAR(st->plan);
+        for (k = 0; k < REPRO_NDESCR; ++k)
+            Py_CLEAR(st->descr[k]);
     }
     return 0;
 }
@@ -408,14 +393,19 @@ static PyMethodDef repro_methods[] = {
     {"call_batch", repro_call_batch, METH_O,
      "Call the kernel on each argument tuple of a sequence, in one "
      "crossing; nothing runs if any entry is refused."},
-    {"bind", (PyCFunction)(void (*)(void))repro_bind, METH_FASTCALL,
-     "bind(ndarray, plan): the array type and the slow path."},
+    {"bind", repro_bind, METH_O,
+     "bind(plan): the slow path, one entry per parameter."},
     {NULL, NULL, 0, NULL},
+};
+
+static PyModuleDef_Slot repro_slots[] = {
+    {Py_mod_exec, repro_exec},
+    {0, NULL},
 };
 
 static struct PyModuleDef repro_module = {
     PyModuleDef_HEAD_INIT, REPRO_NAME, NULL, sizeof(repro_state),
-    repro_methods, NULL, repro_traverse, repro_clear, repro_free,
+    repro_methods, repro_slots, repro_traverse, repro_clear, repro_free,
 };
 
 PyMODINIT_FUNC
@@ -443,10 +433,8 @@ def _marshal_param(j: int, sym: Sym, cell: int) -> list[str]:
     """The glue lines marshalling argument ``j`` into ``row[j]``."""
     tp = sym.tp
     if isinstance(tp, ArrayType):
-        size = tp.elem.np_dtype.itemsize
-        formats = _BUFFER_FORMATS[tp.elem.np_dtype.kind][size]
-        return [f"if (repro_array(st, {j}, args[{j}], \"{formats}\", "
-                f"{size}, &views[{cell}], &row[{j}]) < 0)",
+        return [f"if (repro_array(st, {j}, args[{j}], st->descr[{cell}], "
+                f"&row[{j}]) < 0)",
                 "    return -1;"]
     c = c_type_of(tp)
     if tp.is_float:
@@ -479,9 +467,10 @@ def emit_extension_glue(staged: StagedFunction, fn_name: str) -> str:
     marshals every entry into the ``void**`` table of
     :func:`emit_batch_wrapper` and makes one call, so nothing runs if
     any entry is refused.  Both release the GIL around the kernel, as
-    ``ctypes`` does.  Arrays cross through the buffer protocol; an
-    argument the fast path refuses goes to its ``marshalling_plan``
-    entry, bound in at link time by ``bind(ndarray, plan)``.
+    ``ctypes`` does.  Arrays are read through NumPy's C API, whose
+    table the module imports when it executes; an argument the fast
+    path refuses goes to its ``marshalling_plan`` entry, bound in at
+    link time by ``bind(plan)``.
     """
     params = staged.params
     nargs = len(params)
@@ -493,10 +482,19 @@ def emit_extension_glue(staged: StagedFunction, fn_name: str) -> str:
              for j in scalars}
     body = ["double d;"] * ("d" in kinds) + ["int t;"] * ("t" in kinds) \
         + ["unsigned long long u;"] * ("u" in kinds)
+    if not arrays:
+        body.append("(void)st;")
     for j, p in enumerate(params):
         cell = arrays.index(j) if j in arrays else scalars.index(j)
         body += _marshal_param(j, p, cell)
     marshal = "\n".join(f"    {line}" for line in body + ["return 0;"])
+    # each array parameter's dtype by its sized type-number macro
+    # (NPY_FLOAT32, NPY_INT64, ...), the one NumPy gives that dtype
+    descrs = "".join(
+        f"    if ((st->descr[{k}] = PyArray_DescrFromType(NPY_"
+        f"{params[j].tp.elem.np_dtype.name.upper()})) == NULL)\n"
+        f"        return -1;\n"
+        for k, j in enumerate(arrays))
 
     rtp = staged.result_type
     call = _row_call(staged, fn_name, "row")
@@ -507,17 +505,18 @@ def emit_extension_glue(staged: StagedFunction, fn_name: str) -> str:
         out_c = c_type_of(rtp)
         run, r_decl = f"r = {call};", f"    {out_c} r;\n"
         single, item = _to_python(rtp, "r"), _to_python(rtp, "out[i]")
-    na, ns, nv = max(nargs, 1), max(len(scalars), 1), max(len(arrays), 1)
+    na, ns = max(nargs, 1), max(len(scalars), 1)
     name_def = (f"\n#define REPRO_NAME \"{fn_name}\"\n"
-                f"#define REPRO_NARGS {nargs}\n")
+                f"#define REPRO_NARGS {nargs}\n"
+                f"#define REPRO_NDESCR {max(len(arrays), 1)}\n")
     return (
-        name_def + _GLUE_HELPERS
+        name_def + _GLUE_HELPERS + (_GLUE_ARRAY if arrays else "")
         + f"""
-/* Marshal one argument set: row[j] is an array's address (its buffer
-   view held in views[] until released) or points at a scalar's cell. */
+/* Marshal one argument set: row[j] is an array's address or points at
+   a scalar's cell. */
 static int
 repro_marshal(repro_state *st, PyObject *const *args, void **row,
-              repro_cell *cells, Py_buffer *views)
+              repro_cell *cells)
 {{
 {marshal}
 }}
@@ -528,24 +527,15 @@ repro_call(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     repro_state *st;
     void *row[{na}];
     repro_cell cells[{ns}];
-    Py_buffer views[{nv}];
-    PyObject *result = NULL;
-{r_decl}    int k;
-    if (nargs != REPRO_NARGS)
+{r_decl}    if (nargs != REPRO_NARGS)
         return repro_arity(nargs);
-    if ((st = repro_bound(self)) == NULL)
+    if ((st = repro_bound(self)) == NULL
+            || repro_marshal(st, args, row, cells) < 0)
         return NULL;
-    for (k = 0; k < {len(arrays)}; ++k)
-        views[k].obj = NULL;
-    if (repro_marshal(st, args, row, cells, views) == 0) {{
-        Py_BEGIN_ALLOW_THREADS
-        {run}
-        Py_END_ALLOW_THREADS
-        result = {single};
-    }}
-    for (k = 0; k < {len(arrays)}; ++k)
-        PyBuffer_Release(&views[k]);
-    return result;
+    Py_BEGIN_ALLOW_THREADS
+    {run}
+    Py_END_ALLOW_THREADS
+    return {single};
 }}
 
 static PyObject *
@@ -556,23 +546,24 @@ repro_call_batch(PyObject *self, PyObject *arg)
     PyObject **held;
     void **argv;
     repro_cell *cells;
-    Py_buffer *views;
     {out_c} *out;
-    Py_ssize_t n, i, k;
+    Py_ssize_t n, i;
     if (st == NULL || (entries = PySequence_Tuple(arg)) == NULL)
         return NULL;
     n = PyTuple_GET_SIZE(entries);
-    /* zeroed: unheld entries are NULL, unheld views have obj == NULL */
-    held = PyMem_Calloc(n + 1, sizeof(PyObject *));
-    argv = PyMem_Calloc(n * {nargs} + 1, sizeof(void *));
-    cells = PyMem_Calloc(n * {len(scalars)} + 1, sizeof(repro_cell));
-    views = PyMem_Calloc(n * {len(arrays)} + 1, sizeof(Py_buffer));
-    out = PyMem_Calloc(n + 1, sizeof({out_c}));
-    if (held == NULL || argv == NULL || cells == NULL || views == NULL
-            || out == NULL) {{
+    /* one zeroed block, carved into held[n], argv[n * {nargs}],
+       cells[n * {len(scalars)}] and out[n]; unheld entries are NULL */
+    held = PyMem_Calloc(n + 1, sizeof(PyObject *)
+                        + {nargs} * sizeof(void *)
+                        + {len(scalars)} * sizeof(repro_cell)
+                        + sizeof({out_c}));
+    if (held == NULL) {{
         PyErr_NoMemory();
         goto done;
     }}
+    argv = (void **)(held + n);
+    cells = (repro_cell *)(argv + n * {nargs});
+    out = ({out_c} *)(cells + n * {len(scalars)});
     for (i = 0; i < n; ++i) {{
         PyObject *entry = PySequence_Tuple(PyTuple_GET_ITEM(entries, i));
         if ((held[i] = entry) == NULL)
@@ -582,8 +573,8 @@ repro_call_batch(PyObject *self, PyObject *arg)
             goto done;
         }}
         if (repro_marshal(st, &PyTuple_GET_ITEM(entry, 0),
-                          argv + i * {nargs}, cells + i * {len(scalars)},
-                          views + i * {len(arrays)}) < 0)
+                          argv + i * {nargs},
+                          cells + i * {len(scalars)}) < 0)
             goto done;
     }}
     Py_BEGIN_ALLOW_THREADS
@@ -600,19 +591,25 @@ repro_call_batch(PyObject *self, PyObject *arg)
         PyList_SET_ITEM(result, i, value);
     }}
 done:
-    if (views != NULL)
-        for (k = 0; k < n * {len(arrays)}; ++k)
-            PyBuffer_Release(&views[k]);
     if (held != NULL)
         for (i = 0; i < n; ++i)
             Py_XDECREF(held[i]);
     PyMem_Free(held);
-    PyMem_Free(argv);
-    PyMem_Free(cells);
-    PyMem_Free(views);
-    PyMem_Free(out);
     Py_DECREF(entries);
     return result;
+}}
+
+/* Runs once per module: NumPy's C API table (which checks the running
+   NumPy's ABI against the headers this was built with) and the dtype
+   of each array parameter. */
+static int
+repro_exec(PyObject *module)
+{{
+    repro_state *st = PyModule_GetState(module);
+    if (st == NULL)
+        return -1;
+    import_array1(-1);
+{descrs}    return 0;
 }}
 """
         + _GLUE_MODULE.replace("REPRO_SYMBOL", fn_name)
@@ -653,8 +650,9 @@ def emit_c_source(staged: StagedFunction,
     if export_name is not None:
         # Python.h goes first: it sets feature macros the system
         # headers read
-        includes = "#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n" \
-            + includes
+        includes = ("#define PY_SSIZE_T_CLEAN\n#include <Python.h>\n"
+                    "#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION\n"
+                    "#include <numpy/arrayobject.h>\n") + includes
         glue = "\n" + emit_batch_wrapper(staged, fn_name) \
             + emit_extension_glue(staged, fn_name)
     return (

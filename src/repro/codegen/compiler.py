@@ -21,6 +21,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 import repro.obs as obs
 from repro.core import faults
 from repro.core.env import env_float, env_int
@@ -265,12 +267,16 @@ def _run_with_watchdog(cmd: Sequence[str], timeout: float,
 # before it fills it, so two threads' first reads (the first builds on
 # two background workers) can race and one see it empty.
 _PYTHON_INCLUDE_DIR = Path(sysconfig.get_paths()["include"])
+_NUMPY_INCLUDE_DIR = Path(np.get_include())
 
 
-def python_include_dir() -> Path:
-    """The directory holding this interpreter's ``Python.h``, which
-    every generated kernel includes for its extension glue."""
-    return _PYTHON_INCLUDE_DIR
+def glue_headers() -> tuple[tuple[Path, str], ...]:
+    """``(include dir, header)`` for each header every generated kernel
+    includes for its extension glue: this interpreter's ``Python.h`` and
+    NumPy's C API (shipped in its wheels).  Each dir is on every
+    compile's include path."""
+    return ((_PYTHON_INCLUDE_DIR, "Python.h"),
+            (_NUMPY_INCLUDE_DIR, "numpy/arrayobject.h"))
 
 
 def compile_shared_library(source: str, workdir: Path,
@@ -283,8 +289,8 @@ def compile_shared_library(source: str, workdir: Path,
     """Compile C source into a shared library and return its path.
 
     ``flags`` overrides the compiler's derived flag set (used by the
-    fallback ladder); :func:`python_include_dir` is always on the
-    include path.  ``deadline`` is an absolute ``time.monotonic()``
+    fallback ladder); the dirs of :func:`glue_headers` are always on
+    the include path.  ``deadline`` is an absolute ``time.monotonic()``
     instant; the effective watchdog timeout is clamped to the time
     remaining, and an already-expired deadline raises
     :class:`CompileDeadlineError` without invoking the compiler.
@@ -300,8 +306,9 @@ def compile_shared_library(source: str, workdir: Path,
     so_path = workdir / f"{name}.so"
     c_path.write_text(source)
     use_flags = list(flags) if flags is not None else cc.flags_for(isas)
-    cmd = [cc.path, *use_flags, f"-I{python_include_dir()}", str(c_path),
-           "-o", str(so_path)]
+    cmd = [cc.path, *use_flags,
+           *(f"-I{include}" for include, _ in glue_headers()),
+           str(c_path), "-o", str(so_path)]
     if timeout is None:
         timeout = _compile_timeout()
     if deadline is not None:

@@ -6,24 +6,27 @@ macros.  Here the glue is a CPython extension generated beside every
 exported kernel (:func:`repro.codegen.cgen.emit_extension_glue`), and
 the kernel's shared library is loaded as that extension module:
 
-* Every array crosses as the raw address of its NumPy buffer — the
+* Every array crosses as the raw address of its NumPy data — the
   equivalent of ``GetPrimitiveArrayCritical`` pinning (numpy arrays
   never move, so the GC-copy caveat of Section 3.5 does not arise).
-  The glue's C fast path takes an exact ndarray whose buffer is
-  C-contiguous, writable, non-empty and of the element type.  Any
-  other argument goes to its :func:`marshalling_plan` entry, bound into
-  the module at link time: it raises the boundary's ``TypeError`` (not
-  an ndarray, wrong dtype, not C-contiguous) or the ``ValueError`` for
-  a read-only array the kernel writes, and otherwise returns the
-  address to use (a read-only input, an empty array, a subclass).
+  The glue's C fast path reads the array through NumPy's C API and
+  takes an exact ndarray of the parameter's dtype that is C-contiguous,
+  writable and non-empty.  Any other argument goes to its
+  :func:`marshalling_plan` entry, bound into the module at link time:
+  it raises the boundary's ``TypeError`` (not an ndarray, wrong dtype,
+  not C-contiguous) or the ``ValueError`` for a read-only array the
+  kernel writes, and otherwise returns the address to use (a read-only
+  input, an empty array, a subclass).
 * Scalars are converted in C, integers wrapping two's-complement.
-* ``NativeKernel.__call__`` and :meth:`NativeKernel.call_batch` are the
-  glue's two entries; the batch entry packs every argument set into the
+* Calling a ``NativeKernel`` calls the glue's ``call`` entry with no
+  Python frame between, and :meth:`NativeKernel.call_batch` is its
+  ``call_batch`` entry, which packs every argument set into the
   ``void**`` table of ``<symbol>__batch`` and crosses once.
 
 The exported symbol name is derived automatically from the staged
-function.  A host without ``Python.h`` cannot build the glue and
-degrades like a host without a compiler.
+function.  A host without ``Python.h`` or NumPy's C headers (shipped
+in its wheels) cannot build the glue and degrades like a host without
+a compiler.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import atexit
 import ctypes
 import importlib.machinery
 import itertools
+import operator
 import os
 import shutil
 import tempfile
@@ -54,8 +58,8 @@ from repro.codegen.compiler import (
     SystemInfo,
     compile_with_fallback,
     compiler_chain,
+    glue_headers,
     inspect_system,
-    python_include_dir,
 )
 from repro.lms.staging import StagedFunction
 from repro.lms.types import ArrayType, ScalarType, Type, VectorType, VoidType
@@ -143,11 +147,12 @@ class NativeKernel:
     """A compiled-and-linked staged function.
 
     ``_module`` is the kernel's extension module.  At construction the
-    marshalling plan is built and bound into it; a call is then the
-    glue's ``call`` entry, and :meth:`call_batch` its ``call_batch``
-    entry.  ``_fn`` and ``_batch_fn`` are ``ctypes`` handles on the raw
-    kernel and ``__batch`` symbols, bound on first access for
-    measurements that time the bare kernel; no call path uses them.
+    marshalling plan is built and bound into it; calling the kernel
+    then calls the glue's ``call`` entry (``_call``) directly, and
+    :meth:`call_batch` is its ``call_batch`` entry.  ``_fn`` and
+    ``_batch_fn`` are ``ctypes`` handles on the raw kernel and
+    ``__batch`` symbols, bound on first access for measurements that
+    time the bare kernel; no call path uses them.
     """
 
     staged: StagedFunction
@@ -162,12 +167,12 @@ class NativeKernel:
 
     def __post_init__(self) -> None:
         self._plan = marshalling_plan(self.staged)
-        self._module.bind(np.ndarray, self._plan)
+        self._module.bind(self._plan)
         self._call = self._module.call
         self._call_batch = self._module.call_batch
 
-    def __call__(self, *args: Any) -> Any:
-        return self._call(*args)
+    # ``kernel(*args)`` is the glue's ``call(*args)``: no Python frame
+    __call__ = property(operator.attrgetter("_call"))
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
         """Execute ``args_seq`` (N argument tuples) in one native call.
@@ -343,11 +348,11 @@ def build_native(staged: StagedFunction,
         else list(compiler_chain(system))
     if not ccs:
         raise NativeLinkError("no C compiler available")
-    include = python_include_dir()
-    if not (include / "Python.h").is_file():
-        raise NativeLinkError(
-            f"Python.h not found under {include}: the kernel's CPython "
-            f"extension glue cannot be built")
+    for include, header in glue_headers():
+        if not (include / header).is_file():
+            raise NativeLinkError(
+                f"{header} not found under {include}: the kernel's "
+                f"CPython extension glue cannot be built")
 
     isas = required_isas(staged)
     if check_isas:

@@ -12,7 +12,7 @@ The paper's developer workflow (Figure 3) has four compile-time steps:
 At runtime the pipeline inspects the system (CPUID, compilers), stages
 the function, and links it back — natively through gcc/clang and a
 generated CPython extension when the host supports the kernel's ISAs
-(and has ``Python.h``), falling back to the
+(and has ``Python.h`` and NumPy's C headers), falling back to the
 bit-accurate SIMD machine otherwise.  Either way the kernel also carries
 its Haswell cost-model lowering, which is what the benchmarks price.
 """

@@ -41,7 +41,9 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
     The kernel's ``_impl`` (the one attribute the tiered hot-swap
     stores to) is re-read for every chunk, so tier promotion stays
     atomic: a batch in flight when the swap lands finishes its current
-    chunk on the old tier and runs the rest on the new one.
+    chunk on the old tier and runs the rest on the new one.  A sync
+    native kernel's ``_impl`` is its glue's ``call`` entry, whose batch
+    entry is the same module's ``call_batch``.
     """
     entries = [tuple(args) for args in args_seq]
     if not entries:
@@ -51,7 +53,11 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
     for i in range(0, len(entries), limit):
         chunk = entries[i:i + limit]
         impl = kernel._impl
-        runner = getattr(impl, "call_batch", None)
+        native = kernel._native
+        if native is not None and impl is native._call:
+            runner = native._call_batch
+        else:
+            runner = getattr(impl, "call_batch", None)
         obs.observe("batch.size", float(len(chunk)))
         if runner is not None:
             results.extend(runner(chunk))

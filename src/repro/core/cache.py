@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX hosts
@@ -41,6 +43,9 @@ from repro.lms.staging import StagedFunction
 # background workers) can race and one see no suffix, keying its kernel
 # where no other process looks.
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ""
+# The glue is built against this NumPy's C API headers, and its module
+# refuses to load under a NumPy whose ABI they do not match.
+_NUMPY_VERSION = np.__version__
 
 
 def _exp_token(e: Exp) -> str:
@@ -241,12 +246,13 @@ class DiskKernelCache:
         """The entry key of one build.  ``source_digest`` is the SHA-256
         of the emitted C, which spells out the staged graph, the symbol
         and the glue, so a code-generator change is a miss, not a stale
-        hit.  The key carries the interpreter's ``EXT_SUFFIX``: every
-        artifact is a CPython extension, so it is never served to
-        another ABI."""
+        hit.  The key carries the interpreter's ``EXT_SUFFIX`` and
+        NumPy's version: every artifact is a CPython extension built
+        against NumPy's C API, so it is never served to another ABI, and
+        a NumPy upgrade is a rebuild."""
         token = "\n".join([source_digest, compiler_version,
                            " ".join(flags), " ".join(sorted(isas)),
-                           _EXT_SUFFIX])
+                           _EXT_SUFFIX, _NUMPY_VERSION])
         return hashlib.sha256(token.encode()).hexdigest()[:32]
 
     # -- shard geometry and locking ------------------------------------

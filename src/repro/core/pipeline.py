@@ -9,6 +9,7 @@ paper implements with Scala macros and JVM reflection.
 from __future__ import annotations
 
 import enum
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -56,11 +57,13 @@ class UnsatisfiedLinkError(RuntimeError):
 class CompiledKernel:
     """A staged kernel, linked and priceable.
 
-    Calling the kernel dispatches through ``_impl`` — the one attribute
-    the read path touches, so the tiered hot-swap (see
+    Calling the kernel calls whatever ``_impl`` holds — the one
+    attribute the read path touches, so the tiered hot-swap (see
     :mod:`repro.core.tiered`) is a single atomic store and the call
-    path needs no lock.  ``cost`` prices the kernel on the Haswell
-    model (in cycles) for given parameter values and stream footprints.
+    path needs no lock.  A sync native kernel's ``_impl`` is its glue's
+    ``call`` entry, so its call runs no Python frame.  ``cost`` prices
+    the kernel on the Haswell model (in cycles) for given parameter
+    values and stream footprints.
     """
 
     staged: StagedFunction
@@ -86,7 +89,7 @@ class CompiledKernel:
         if self._impl is None:
             if self.backend == BackendKind.NATIVE and \
                     self._native is not None:
-                self._impl = self._native
+                self._impl = self._native._call
             else:
                 self._impl = self._sim_call
 
@@ -94,8 +97,8 @@ class CompiledKernel:
     def name(self) -> str:
         return self.staged.name
 
-    def __call__(self, *args: Any) -> Any:
-        return self._impl(*args)
+    # ``kernel(*args)`` is ``kernel._impl(*args)``, with no frame between
+    __call__ = property(operator.attrgetter("_impl"))
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
         """Execute many argument sets as tier-level batches (the
@@ -145,7 +148,7 @@ class CompiledKernel:
             "swap", "native",
             detail=(report.cache_source or "")
             if report is not None else "")
-        self._impl = NativeDispatch(self, native)
+        self._impl = NativeDispatch(self, native._call, native._call_batch)
 
     def _demote(self, reason: str | None,
                 report: CompileReport | None = None,

@@ -9,7 +9,7 @@ DESIGN.md §9) while a bounded worker pool walks the full
 emit→ladder→smoke→link path off-thread, then hot-swaps the kernel to
 native (tier 1) atomically.
 
-* **Atomic swap, lock-free read path.**  ``CompiledKernel.__call__``
+* **Atomic swap, lock-free read path.**  Calling a ``CompiledKernel``
   reads exactly one attribute (``_impl``) and calls it.  Promotion
   publishes a fully wired :class:`NativeDispatch` with a single
   attribute store — atomic under the GIL — so a concurrent caller sees
@@ -48,7 +48,7 @@ from typing import Any, Callable, Sequence
 
 import repro.obs as obs
 from repro.codegen.compiler import CompileError
-from repro.codegen.native import NativeKernel, NativeLinkError
+from repro.codegen.native import NativeLinkError
 from repro.core.cache import CompileJob, InflightCompiles, graph_hash
 from repro.core.env import env_float, env_int
 from repro.core.resilience import (
@@ -345,17 +345,23 @@ class SimulatedDispatch:
 class NativeDispatch:
     """The native-tier call path: one int bump of the kernel's
     ``tier_calls`` (read as ``tiered.calls`` by the metrics registry),
-    then the :class:`NativeKernel`'s generated binding."""
+    then the glue's ``call`` entry itself (``NativeKernel._call``).
+    Its frame is the only Python one on a tiered native call: the tally
+    is per kernel handle, and handles attached to one compile share one
+    module."""
 
-    __slots__ = ("kernel", "native")
+    __slots__ = ("kernel", "_call", "_call_batch")
 
-    def __init__(self, kernel, native: NativeKernel) -> None:
+    def __init__(self, kernel, call: Callable[..., Any],
+                 call_batch: Callable[[Sequence[Sequence[Any]]], list]
+                 ) -> None:
         self.kernel = kernel
-        self.native = native
+        self._call = call
+        self._call_batch = call_batch
 
     def __call__(self, *args: Any) -> Any:
         self.kernel.tier_calls["native"] += 1
-        return self.native(*args)
+        return self._call(*args)
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
         """Batch entry point: one packed native call for the whole
@@ -363,7 +369,7 @@ class NativeDispatch:
         :meth:`NativeKernel.call_batch`)."""
         n = len(args_seq)
         self.kernel.tier_calls["native"] += n
-        return self.native.call_batch(args_seq)
+        return self._call_batch(args_seq)
 
 
 class KernelManager:

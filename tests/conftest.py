@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codegen.compiler import inspect_system, python_include_dir
+from repro.codegen.compiler import glue_headers, inspect_system
 
 
 def _system():
@@ -13,11 +13,12 @@ def _system():
 
 
 # Every native kernel is a CPython extension: building one needs a C
-# compiler and this interpreter's headers.
+# compiler, this interpreter's headers and NumPy's.
 requires_compiler = pytest.mark.skipif(
     _system().best_compiler is None
-    or not (python_include_dir() / "Python.h").is_file(),
-    reason="no C compiler or no Python.h on this host",
+    or not all((include / header).is_file()
+               for include, header in glue_headers()),
+    reason="no C compiler, Python.h or NumPy headers on this host",
 )
 
 requires_avx2_fma = pytest.mark.skipif(

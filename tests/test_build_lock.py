@@ -35,8 +35,8 @@ from repro.codegen.compiler import (
     CompileError,
     compiler_chain,
     flag_ladder,
+    glue_headers,
     inspect_system,
-    python_include_dir,
 )
 from repro.codegen.native import (
     NativeLinkError,
@@ -378,7 +378,7 @@ class TestEmittedSourceKey:
         import sysconfig
 
         args = ("a" * 64, "gcc", ("-O3",), ("AVX",))
-        want = (DiskKernelCache.artifact_key(*args), python_include_dir())
+        want = (DiskKernelCache.artifact_key(*args), glue_headers())
         monkeypatch.setattr(sysconfig, "_CONFIG_VARS", None)
         if hasattr(sysconfig, "_CONFIG_VARS_INITIALIZED"):  # 3.12+
             monkeypatch.setattr(sysconfig, "_CONFIG_VARS_INITIALIZED",
@@ -392,7 +392,7 @@ class TestEmittedSourceKey:
         def first_build():
             barrier.wait(10)
             got.append((DiskKernelCache.artifact_key(*args),
-                        python_include_dir()))
+                        glue_headers()))
 
         threads = [threading.Thread(target=first_build) for _ in range(4)]
         for t in threads:

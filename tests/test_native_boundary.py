@@ -10,18 +10,22 @@ native per-call and the native batch trampoline.
   entry runs.  A read-only array the kernel only reads is accepted.
 * Out-of-range integer scalars wrap two's-complement style on every
   path, batched or not.
-* Arrays the boundary cannot pass (not an ndarray, wrong dtype, not
-  C-contiguous) raise the same ``TypeError`` per call and per batch,
-  and a batch holding one runs no entry; everything else it takes
-  (subclasses, equal-but-not-identical dtypes, empty and temporary
-  arrays) gives the simulator's results bit for bit.
+* Arrays the boundary cannot pass (not an ndarray, wrong dtype — a
+  byte-swapped one included — not C-contiguous) raise the same
+  ``TypeError`` per call and per batch, and a batch holding one runs no
+  entry; everything else it takes (subclasses, equal-but-not-identical
+  dtypes, empty, unaligned and temporary arrays) gives the simulator's
+  results bit for bit.
 
 The native paths cross through each kernel's generated CPython
 extension glue, so the checks it owns in C are held here too: argument
-references and buffer exports balance, relinking a library gives a
-fresh module, the disk-cache key names the interpreter's ABI, a host
-without ``Python.h`` degrades like one without a compiler, and an
-unconvertible scalar is a ``TypeError``.
+references balance, relinking a library gives a fresh module, the
+disk-cache key names the interpreter's ABI and NumPy's version, a host
+without ``Python.h`` or NumPy's headers degrades like one without a
+compiler, an unconvertible scalar is a ``TypeError``, and the glue
+compiles free of warnings.  Calling a kernel enters the glue with no
+Python frame of the library's between, except the tiered dispatch's
+own, and a batch crosses once.
 """
 
 from __future__ import annotations
@@ -35,12 +39,15 @@ import pytest
 import repro.codegen.compiler as compiler_mod
 import repro.codegen.native as native_mod
 import repro.core.cache as cache_mod
-from repro.codegen.native import NativeLinkError
+from repro.codegen.compiler import compile_shared_library, inspect_system
+from repro.codegen.native import NativeLinkError, export_source
 from repro.core import BackendKind, compile_staged
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import clear_session_state
+from repro.core.tiered import NativeDispatch
 from repro.lms import const, forloop
 from repro.lms.ops import Variable, array_apply, array_update
+from repro.lms.staging import stage_function
 from repro.lms.types import FLOAT, INT32, UINT32, array_of
 from repro.simd.machine import SimdMachine
 from tests.conftest import requires_compiler
@@ -197,6 +204,14 @@ def _subclass(values) -> np.ndarray:
     return np.array(values, dtype=np.float32).view(Tagged)
 
 
+def _unaligned(values) -> np.ndarray:
+    """A writable float32 array one byte off its element alignment."""
+    arr = np.zeros(4 * len(values) + 1, np.uint8)[1:].view(np.float32)
+    arr[:] = values
+    assert not arr.flags.aligned
+    return arr
+
+
 _META_F32 = np.dtype(np.float32, metadata={"unit": "m"})
 
 
@@ -207,6 +222,7 @@ class TestBoundaryEdges:
         ("strided", lambda: np.ones(16, np.float32)[::2], "C-contiguous"),
         ("fortran", lambda: np.ones((2, 4), np.float32, order="F"),
          "C-contiguous"),
+        ("byteswapped", lambda: np.ones(8, ">f4"), "must have dtype"),
     ]
 
     @pytest.mark.parametrize("via", ["call", "call_batch"])
@@ -229,6 +245,7 @@ class TestBoundaryEdges:
         ("empty", lambda: np.empty(0, np.float32), 0),
         ("subclass", lambda: _subclass(np.arange(8) * 0.25), 8),
         ("metadata_dtype", lambda: np.arange(8).astype(_META_F32), 8),
+        ("unaligned", lambda: _unaligned(np.arange(8) * 0.75 - 2), 8),
     ]
 
     @pytest.mark.parametrize("via", ["call", "call_batch"])
@@ -244,6 +261,8 @@ class TestBoundaryEdges:
         want_dst = np.zeros(src.size, np.float32)
         want = sim(want_dst, src, np.float32(1.25), n)
         dst = np.zeros(src.size, np.float32)
+        if label == "unaligned":    # the array the kernel writes, too
+            dst = _unaligned(dst)
         args = (dst, src, np.float32(1.25), n)
         got = native._native(*args) if via == "call" \
             else native._native.call_batch([args])[0]
@@ -324,17 +343,15 @@ class TestExtensionGlue:
         key = DiskKernelCache.artifact_key(*args)
         monkeypatch.setattr(cache_mod, "_EXT_SUFFIX",
                             ".cpython-39-x86_64-linux-gnu.so")
-        assert DiskKernelCache.artifact_key(*args) != key
+        other_abi = DiskKernelCache.artifact_key(*args)
+        assert other_abi != key
+        monkeypatch.setattr(cache_mod, "_NUMPY_VERSION", "1.26.4")
+        assert DiskKernelCache.artifact_key(*args) not in (key, other_abi)
 
     def test_missing_headers_degrade_like_a_missing_compiler(
             self, build, monkeypatch, tmp_path):
-        empty = tmp_path / "include"
-        empty.mkdir()
-        monkeypatch.setattr(compiler_mod, "_PYTHON_INCLUDE_DIR", empty)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kc"))
-
         def no_compiler(*args, **kwargs):
-            raise AssertionError("a compiler ran without Python.h")
+            raise AssertionError("a compiler ran without the headers")
 
         monkeypatch.setattr(native_mod, "compile_with_fallback",
                             no_compiler)
@@ -344,16 +361,33 @@ class TestExtensionGlue:
                 a, i, array_apply(a, i) + 7.5))
 
         types = [array_of(FLOAT), INT32]
-        kernel = compile_staged(headerless, types, name="headerless",
-                                backend="auto", use_cache=False)
-        assert kernel.backend == BackendKind.SIMULATED
-        assert "Python.h" in kernel.fallback_reason
-        a = np.zeros(4, np.float32)
-        kernel(a, 4)
-        assert (a == 7.5).all()
-        with pytest.raises(NativeLinkError, match="Python.h"):
-            compile_staged(headerless, types, name="headerless",
-                           backend="native", use_cache=False)
+        for attr, header in (("_PYTHON_INCLUDE_DIR", "Python.h"),
+                             ("_NUMPY_INCLUDE_DIR", "numpy/arrayobject.h")):
+            with monkeypatch.context() as mp:
+                empty = tmp_path / attr / "include"
+                empty.mkdir(parents=True)
+                mp.setattr(compiler_mod, attr, empty)
+                mp.setenv("REPRO_CACHE_DIR", str(tmp_path / attr / "kc"))
+                kernel = compile_staged(headerless, types, name="headerless",
+                                        backend="auto", use_cache=False)
+                assert kernel.backend == BackendKind.SIMULATED
+                assert header in kernel.fallback_reason
+                a = np.zeros(4, np.float32)
+                kernel(a, 4)
+                assert (a == 7.5).all()
+                with pytest.raises(NativeLinkError, match=header):
+                    compile_staged(headerless, types, name="headerless",
+                                   backend="native", use_cache=False)
+
+    @pytest.mark.parametrize("fn,types", [(scale_into, INTO),
+                                          (pass_int, [INT32])],
+                             ids=["scale_into", "scalar_only"])
+    def test_glue_compiles_without_warnings(self, fn, types, tmp_path):
+        cc = inspect_system().best_compiler
+        flags = cc.flags_for(frozenset()) + ["-Wall", "-Wextra", "-Werror"]
+        staged = stage_function(fn, types, fn.__name__)
+        compile_shared_library(export_source(staged), tmp_path, frozenset(),
+                               compiler=cc, name=fn.__name__, flags=flags)
 
     UNCONVERTIBLE = [
         ("str_for_float", lambda d, s: (d, s, "2.0", 8)),
@@ -375,3 +409,76 @@ class TestExtensionGlue:
             else:
                 native.call_batch([good, make(dst, src)])
         assert not dst.any()    # the batch ran no entry
+
+
+def _profiled(fn, *args) -> tuple[list, list]:
+    """Run ``fn(*args)`` under ``sys.setprofile``: the code objects of
+    the Python functions it entered, and the C functions it called.
+    The cyclic GC is held off meanwhile, so no finalizer of an earlier
+    test's garbage runs inside the call."""
+    entered, c_called = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+        elif event == "c_call":
+            c_called.append(arg)
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return entered, c_called
+
+
+class TestDispatch:
+    def test_native_call_enters_no_python_frame(self, build):
+        native = build(scale_into, INTO)[0]
+        args = (np.zeros(8, np.float32), np.ones(8, np.float32),
+                np.float32(2.0), 8)
+        for kernel in (native, native._native):
+            assert _profiled(kernel, *args)[0] == []
+        assert args[0].tobytes() == np.full(8, 3, np.float32).tobytes()
+
+    def test_tiered_call_enters_only_the_dispatch(self, build):
+        build(scale_into, INTO)       # the module's private disk cache
+        tiered = compile_staged(scale_into, INTO, name="scale_into",
+                                tier="async", use_cache=False)
+        tiered.wait_native(120)
+        assert tiered.tier == "native"
+        before = tiered.tier_calls["native"]
+        args = (np.zeros(8, np.float32), np.ones(8, np.float32),
+                np.float32(2.0), 8)
+        assert _profiled(tiered, *args)[0] == \
+            [NativeDispatch.__call__.__code__]
+        assert tiered.tier_calls["native"] == before + 1
+
+    def test_compiled_batch_crosses_once_and_atomically(self, build):
+        native, sim = build(scale_into, INTO)
+        module = native._native._module
+        crossings = (module.call, module.call_batch)
+        src = np.linspace(-1, 1, 8).astype(np.float32)
+        dst = [np.zeros(8, np.float32) for _ in range(3)]
+        entries = [(d, src, np.float32(k + 0.5), 8)
+                   for k, d in enumerate(dst)]
+        got = []
+        c_called = _profiled(lambda: got.extend(native.call_batch(entries)))[1]
+        assert [f for f in c_called if f in crossings] == [module.call_batch]
+        for (d, *rest), result in zip(entries, got):
+            want_dst = np.zeros(8, np.float32)
+            want = sim(want_dst, *rest)
+            assert np.float32(result).tobytes() == np.float32(want).tobytes()
+            assert d.tobytes() == want_dst.tobytes()
+
+        dst = [np.zeros(8, np.float32) for _ in range(3)]
+        entries = [(d, src, np.float32(1.5), 8) for d in dst]
+        entries[-1] = (dst[-1], src.astype(np.float64), np.float32(1.5), 8)
+        with pytest.raises(TypeError, match="must have dtype"):
+            native.call_batch(entries)
+        assert not any(d.any() for d in dst)    # no entry ran

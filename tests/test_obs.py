@@ -249,7 +249,7 @@ class TestTallies:
         kernel = self.Owner()
         kernel.tier_calls = {"simulated": 0, "native": 0}
         reg.track(kernel, "tiered.calls", "tier", kernel.tier_calls)
-        dispatch = NativeDispatch(kernel, lambda: None)
+        dispatch = NativeDispatch(kernel, lambda: None, None)
         n_threads, calls_each = 8, 5000
 
         def hammer():
