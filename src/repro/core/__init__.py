@@ -36,7 +36,6 @@ from repro.core.resilience import (
     quarantined_kernels,
 )
 from repro.core.tiered import (
-    CircuitBreaker,
     KernelManager,
     compile_many,
     default_manager,
@@ -45,7 +44,6 @@ from repro.core.tiered import (
 
 __all__ = [
     "BackendKind",
-    "CircuitBreaker",
     "CompileReport",
     "CompiledKernel",
     "KernelManager",

@@ -665,6 +665,12 @@ class DiskKernelCache:
         return self._count_manifests()
 
 
+#: LRU bounds of the in-process tiers: kernel handles and compiled
+#: simulator programs.
+KERNEL_CACHE_ENTRIES = 256
+PROGRAM_CACHE_ENTRIES = 256
+
+
 class KernelCache:
     """The in-process tier of the kernel cache.
 
@@ -676,10 +682,9 @@ class KernelCache:
     the persistent artifact tier rooted at the current ``cache_root()``.
     """
 
-    def __init__(self, maxsize: int | None = None) -> None:
+    def __init__(self, maxsize: int = KERNEL_CACHE_ENTRIES) -> None:
         self._kernels: OrderedDict[tuple[str, str], object] = OrderedDict()
-        self._maxsize = maxsize if maxsize is not None \
-            else env_int("REPRO_CACHE_MEM_ENTRIES", 256, minimum=1)
+        self._maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -735,13 +740,12 @@ class ProgramCache:
     there is no backend dimension — a compiled program is the simulator
     backend).  Re-staging an identical kernel, a benchmark sweep over
     sizes, or a smoke-run against a fresh ``SimdMachine`` all reuse one
-    program; entries are LRU-bounded by ``REPRO_CACHE_PROGRAM_ENTRIES``.
+    program; entries are LRU-bounded (:data:`PROGRAM_CACHE_ENTRIES`).
     """
 
-    def __init__(self, maxsize: int | None = None) -> None:
+    def __init__(self, maxsize: int = PROGRAM_CACHE_ENTRIES) -> None:
         self._programs: OrderedDict[str, object] = OrderedDict()
-        self._maxsize = maxsize if maxsize is not None \
-            else env_int("REPRO_CACHE_PROGRAM_ENTRIES", 256, minimum=1)
+        self._maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -788,8 +792,7 @@ class CompileJob:
     the settled tier (``CompiledKernel.wait_native``).
     """
 
-    __slots__ = ("key", "kernels", "future", "outcome", "is_probe",
-                 "_done")
+    __slots__ = ("key", "kernels", "future", "outcome", "_done")
 
     def __init__(self, key: str) -> None:
         self.key = key
@@ -797,7 +800,6 @@ class CompileJob:
         self.future = None          # set by the manager after submit
         self.outcome: str | None = None   # "native" | "demoted: ..." |
         #                                   "cancelled"
-        self.is_probe = False       # a half-open circuit-breaker probe
         self._done = threading.Event()
 
     @property
@@ -856,14 +858,6 @@ class InflightCompiles:
     def pending(self) -> int:
         with self._lock:
             return len(self._jobs)
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._jobs)
-
-    def has(self, key: str) -> bool:
-        with self._lock:
-            return key in self._jobs
 
     def jobs(self) -> list[CompileJob]:
         """Snapshot of the open jobs (for abandoned-work accounting)."""

@@ -1,10 +1,10 @@
 """Tolerant environment-variable parsing shared across the runtime.
 
 Configuration knobs (`REPRO_SMOKE_TIMEOUT`, `REPRO_COMPILE_RETRIES`,
-cache bounds, observability limits, ...) are read at call sites deep in
-the compile path, where a malformed value must never abort a kernel
-build.  These helpers warn once per lookup and fall back to the
-documented default instead of raising.
+the disk-cache bound, ...) are read at call sites deep in the compile
+path, where a malformed value must never abort a kernel build.  These
+helpers warn once per lookup and fall back to the documented default
+instead of raising.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from repro.core.resilience import (
 from repro.core.tiered import (
     TIER_MODES,
     NativeDispatch,
-    SimulatedDispatch,
     TierEvent,
     default_manager,
     tier_mode,
@@ -167,25 +166,13 @@ class CompiledKernel:
 
     def wait_native(self, timeout: float | None = None
                     ) -> "CompiledKernel":
-        """Block until this kernel's background promotion settles on
+        """Block until this kernel's background compile settles on
         either tier; returns ``self``.  A no-op for unmanaged (sync)
-        kernels.  Under ``hot`` tiering this forces the enqueue even if
-        the invocation counter has not reached the threshold yet.
-        Raises :class:`TimeoutError` if the compile outlives
-        ``timeout`` seconds.
+        kernels, whose compile ran inline.  Raises :class:`TimeoutError`
+        if the compile outlives ``timeout`` seconds.
         """
         job = self._tier_job
-        if job is None:
-            impl = self._impl
-            if isinstance(impl, SimulatedDispatch) and \
-                    self.fallback_reason is None:
-                impl.countdown = None    # the hotness gate is moot now
-                job = impl.manager.promote(self)
-                if job is None:       # shed: breaker open / queue full
-                    return self
-            else:
-                return self
-        if not job.wait(timeout):
+        if job is not None and not job.wait(timeout):
             raise TimeoutError(
                 f"native compile of {self.name!r} did not settle "
                 f"within {timeout}s")
@@ -322,10 +309,9 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
 
     ``backend`` is ``"auto"`` (default), ``"native"`` or ``"simulated"``;
     the ``REPRO_BACKEND`` environment variable overrides the default.
-    ``tier`` is ``"sync"`` (compile natively inline), ``"async"``
+    ``tier`` is ``"sync"`` (compile natively inline) or ``"async"``
     (serve from the simulator now, compile in the background and
-    hot-swap) or ``"hot"`` (like ``async``, but gated on an invocation
-    counter); it defaults to ``REPRO_TIER`` and only applies to the
+    hot-swap); it defaults to ``REPRO_TIER`` and only applies to the
     ``"auto"`` backend — explicit ``"native"`` keeps its inline,
     raise-on-failure semantics.  Identical kernels (by structural graph
     hash) are served from the kernel cache, amortizing staging and
@@ -338,7 +324,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
     if tier is not None and tier not in TIER_MODES:
         raise ValueError(f"unknown tier {tier!r}")
     mode = tier if tier is not None else tier_mode()
-    deferred = requested == "auto" and mode in ("async", "hot")
+    deferred = requested == "auto" and mode == "async"
     trace_id: int | None = None
     with obs.span("pipeline", requested=requested) as pipe_span:
         trace_id = obs.get_tracer().current_trace_id()
@@ -387,7 +373,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             default_cache.put_for(pre_opt, requested, kernel)
         if deferred:
             pipe_span.set("tier", mode)
-            default_manager.manage(kernel, mode)
+            default_manager.manage(kernel)
     if trace_id is not None:
         kernel.trace = obs.get_tracer().spans_for_trace(trace_id)
     return kernel

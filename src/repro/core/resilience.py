@@ -417,14 +417,6 @@ def smoke_test_artifact(artifact: NativeArtifact,
 # ---------------------------------------------------------------------------
 # The acquisition path: disk cache → ladder compile → smoke → link.
 
-def _smoke_enabled() -> bool:
-    return os.environ.get("REPRO_SMOKE", "1") not in ("0", "off", "no")
-
-
-def _disk_enabled() -> bool:
-    return os.environ.get("REPRO_DISK_CACHE", "1") not in ("0", "off", "no")
-
-
 def compile_deadline() -> float | None:
     """Per-kernel wall-clock budget for one compile
     (``REPRO_COMPILE_DEADLINE``, default 300 s; ``0`` disables).  The
@@ -530,8 +522,6 @@ def _artifact_token(ghash: str, so_path) -> tuple[str, str]:
 def acquire_native(staged: StagedFunction, *,
                    system: SystemInfo | None = None,
                    compilers: Sequence[CompilerInfo] | None = None,
-                   use_disk_cache: bool | None = None,
-                   smoke: bool | None = None,
                    max_retries: int | None = None,
                    deadline: float | None = None,
                    ) -> tuple[NativeKernel, CompileReport]:
@@ -580,71 +570,56 @@ def acquire_native(staged: StagedFunction, *,
             raise
         digest = hashlib.sha256(source.encode()).hexdigest()
 
-        use_disk = _disk_enabled() if use_disk_cache is None \
-            else use_disk_cache
-        disk = default_cache.disk if use_disk else None
-
-        if disk is None:
-            artifact = _compile(staged, source, ccs, report, max_retries,
-                                deadline)
-        else:
-            rungs = [(cc, flags, DiskKernelCache.artifact_key(
-                         digest, cc.version, flags, isas))
-                     for cc in ccs
-                     for _rung, flags in flag_ladder(cc, isas,
-                                                     required=isas)]
-            artifact = _disk_lookup(disk, staged, rungs, isas, system,
-                                    report)
-            if artifact is None:
-                if deadline is not None:
-                    wait_until = deadline
-                else:
-                    budget = compile_deadline()
-                    wait_until = None if budget is None \
-                        else time.monotonic() + budget
-                with disk.build_lock(rungs[0][2], wait_until) as held:
-                    if held:
-                        artifact = _disk_lookup(disk, staged, rungs, isas,
-                                                system, report)
-                    if artifact is None:
-                        artifact = _compile(staged, source, ccs, report,
-                                            max_retries, deadline)
-                        _disk_store(disk, artifact, ghash, digest)
+        disk = default_cache.disk
+        rungs = [(cc, flags, DiskKernelCache.artifact_key(
+                     digest, cc.version, flags, isas))
+                 for cc in ccs
+                 for _rung, flags in flag_ladder(cc, isas, required=isas)]
+        artifact = _disk_lookup(disk, staged, rungs, isas, system, report)
+        if artifact is None:
+            if deadline is not None:
+                wait_until = deadline
+            else:
+                budget = compile_deadline()
+                wait_until = None if budget is None \
+                    else time.monotonic() + budget
+            with disk.build_lock(rungs[0][2], wait_until) as held:
+                if held:
+                    artifact = _disk_lookup(disk, staged, rungs, isas,
+                                            system, report)
+                if artifact is None:
+                    artifact = _compile(staged, source, ccs, report,
+                                        max_retries, deadline)
+                    _disk_store(disk, artifact, ghash, digest)
         acq_span.set("cache_source", report.cache_source)
 
-        run_smoke = _smoke_enabled() if smoke is None else smoke
         with obs.span("smoke", kernel=staged.name) as smoke_span:
-            if not run_smoke:
-                report.smoke = "disabled"
+            token = _artifact_token(ghash, artifact.so_path)
+            with _state_lock:
+                already_trusted = token in _trusted
+            if already_trusted:
+                report.smoke = "trusted"
             else:
-                token = _artifact_token(ghash, artifact.so_path)
-                with _state_lock:
-                    already_trusted = token in _trusted
-                if already_trusted:
-                    report.smoke = "trusted"
-                else:
-                    verdict = smoke_test_artifact(artifact)
-                    report.smoke = verdict.status
-                    if verdict.failed:
-                        reason = f"{verdict.status}: {verdict.detail}" \
-                            if verdict.detail else verdict.status
-                        smoke_span.set("verdict", report.smoke)
-                        obs.counter("smoke.verdicts", status=report.smoke)
-                        quarantine(ghash, reason)
-                        if disk is not None and \
-                                artifact.compiler is not None:
-                            # never serve a condemned artifact to others;
-                            # a wedged cache does not stop the fallback
-                            try:
-                                disk.invalidate(
-                                    _artifact_key(digest, artifact))
-                            except OSError:
-                                pass
-                        report.fallback_reason = f"quarantined: {reason}"
-                        raise KernelQuarantinedError(ghash, reason, report)
-                    if verdict.status == "passed":
-                        with _state_lock:
-                            _trusted.add(token)
+                verdict = smoke_test_artifact(artifact)
+                report.smoke = verdict.status
+                if verdict.failed:
+                    reason = f"{verdict.status}: {verdict.detail}" \
+                        if verdict.detail else verdict.status
+                    smoke_span.set("verdict", report.smoke)
+                    obs.counter("smoke.verdicts", status=report.smoke)
+                    quarantine(ghash, reason)
+                    if artifact.compiler is not None:
+                        # never serve a condemned artifact to others;
+                        # a wedged cache does not stop the fallback
+                        try:
+                            disk.invalidate(_artifact_key(digest, artifact))
+                        except OSError:
+                            pass
+                    report.fallback_reason = f"quarantined: {reason}"
+                    raise KernelQuarantinedError(ghash, reason, report)
+                if verdict.status == "passed":
+                    with _state_lock:
+                        _trusted.add(token)
             smoke_span.set("verdict", report.smoke)
         obs.counter("smoke.verdicts", status=report.smoke)
 

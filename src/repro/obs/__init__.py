@@ -18,7 +18,6 @@ Environment:
 * ``REPRO_OBS`` — master switch (default on).
 * ``REPRO_OBS_TRACE_PATH`` — if set, the ring buffer and a metrics
   snapshot are flushed there as JSONL at interpreter exit.
-* ``REPRO_OBS_RING`` — finished-span ring capacity (default 4096).
 * ``REPRO_OBS_PROFILE`` — opt-in simulator instruction-mix profiling.
 
 ``python -m repro.obs report trace.jsonl`` renders a recorded trace:

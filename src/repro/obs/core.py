@@ -7,8 +7,8 @@ Design constraints (see DESIGN.md §8):
   then hands out a shared no-op context manager and counter updates
   return immediately.
 * **Bounded memory.**  Finished spans land in a ring buffer
-  (``REPRO_OBS_RING`` entries, default 4096); a long-running process
-  never grows without bound.
+  (:data:`RING_CAPACITY` entries); a long-running process never grows
+  without bound.
 * **Thread safety.**  The span stack is thread-local (each thread owns
   its own tree); the ring buffer and the metrics registry take a lock
   only on update/snapshot.
@@ -30,8 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
-
-from repro.core.env import env_int
 
 __all__ = [
     "Span",
@@ -58,6 +56,10 @@ def profile_enabled() -> bool:
 
 # ---------------------------------------------------------------------------
 # Spans and the tracer.
+
+#: Finished spans the tracer keeps; older ones fall off the ring.
+RING_CAPACITY = 4096
+
 
 @dataclass
 class Span:
@@ -162,9 +164,7 @@ class Tracer:
     :meth:`spans_for_trace` even when other threads interleave.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is None:
-            capacity = env_int("REPRO_OBS_RING", 4096, minimum=16)
+    def __init__(self, capacity: int = RING_CAPACITY) -> None:
         self._finished: deque[Span] = deque(maxlen=capacity)
         self._ids = itertools.count(1)
         self._traces = itertools.count(1)

@@ -101,12 +101,9 @@ def _ladder_summary(counters: Mapping[str, float]) -> list[str]:
     return lines
 
 
-_BREAKER_STATE_NAMES = {0: "closed", 1: "half-open", 2: "open"}
-
-
-def _resilience_summary(counters: Mapping[str, float],
-                        gauges: Mapping[str, float]) -> list[str]:
-    """Fault injection, watchdog and circuit-breaker activity."""
+def _resilience_summary(counters: Mapping[str, float]) -> list[str]:
+    """Fault injection, watchdog, abandoned-compile and disk-sweep
+    activity."""
     lines: list[str] = []
     fault_cells = sorted((cell, value) for cell, value in counters.items()
                          if cell.startswith("faults.fired"))
@@ -121,14 +118,9 @@ def _resilience_summary(counters: Mapping[str, float],
     # every row prints, zero or not: dashboards diff reports
     # across runs, and a row that appears only once a counter fires
     # reads as a schema change instead of a value change
-    for name in ("tiered.shed", "tiered.abandoned",
-                 "tiered.breaker_opens", "cache.disk.recovered",
+    for name in ("tiered.abandoned", "cache.disk.recovered",
                  "cache.disk.locks_broken", "native.workdirs_swept"):
         lines.append(f"{name} = {int(counters.get(name, 0.0))}")
-    state = gauges.get("tiered.breaker_state")
-    if state is not None:
-        name = _BREAKER_STATE_NAMES.get(int(state), f"state {state}")
-        lines.append(f"breaker: {name}")
     return lines
 
 
@@ -177,10 +169,10 @@ def render_report(spans: Sequence[Span],
     out.append("")
     out.append("== optimizer ==")
     out.extend(_optimizer_summary(counters))
-    gauges = dict((metrics or {}).get("gauges", {}))
     out.append("")
     out.append("== resilience ==")
-    out.extend(_resilience_summary(counters, gauges))
+    out.extend(_resilience_summary(counters))
+    gauges = dict((metrics or {}).get("gauges", {}))
     if gauges:
         out.append("")
         out.append("== gauges ==")

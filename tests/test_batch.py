@@ -1,16 +1,12 @@
-"""Batched kernel execution and the bugfix shipped with it.
+"""Batched kernel execution.
 
 Covers DESIGN.md §13 end to end: the batch-vs-loop differential
 contract (bit-identical results, array mutations and simulator op
 accounting on both simulator engines and the native tier, including
-whole-batch sweep fallbacks and a deterministic mid-batch hot-swap),
-and a regression test for the fix riding along: the hotness countdown
-promotes exactly once under threaded hammering.
+whole-batch sweep fallbacks and a deterministic mid-batch hot-swap).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,7 +15,6 @@ import repro.core.batch as batch_mod
 from repro.core import compile_staged
 from repro.core.cache import default_cache
 from repro.core.resilience import clear_session_state
-from repro.core.tiered import SimulatedDispatch
 from repro.lms import forloop, if_then_else
 from repro.lms.ops import array_apply, array_update
 from repro.lms.staging import stage_function
@@ -271,70 +266,3 @@ class TestExecuteBatchTiers:
         for (a_loop, *_), (a_batch, *_) in zip(loop_entries,
                                                batch_entries):
             assert a_loop.tobytes() == a_batch.tobytes()
-
-
-# -- regression: the hotness countdown ---------------------------------
-
-
-class TestCountdownRace:
-    class _FakeMachine:
-        def run(self, staged, args):
-            return None
-
-        def run_batch(self, staged, args_list):
-            return [None] * len(args_list)
-
-    class _FakeManager:
-        def __init__(self):
-            self.promotions = 0
-            self._lock = threading.Lock()
-
-        def promote(self, kernel):
-            with self._lock:
-                self.promotions += 1
-
-    def _kernel(self):
-        class K:
-            tier_calls = {"simulated": 0, "native": 0}
-            staged = None
-            _machine = self._FakeMachine()
-        return K()
-
-    def test_threaded_countdown_promotes_exactly_once(self):
-        manager = self._FakeManager()
-        dispatch = SimulatedDispatch(self._kernel(), manager,
-                                     countdown=64)
-        n_threads, calls_each = 16, 16
-        barrier = threading.Barrier(n_threads)
-
-        def hammer():
-            barrier.wait()
-            for _ in range(calls_each):
-                dispatch()
-
-        threads = [threading.Thread(target=hammer)
-                   for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert manager.promotions == 1
-        assert dispatch.countdown is None
-
-    def test_zero_threshold_promotes_on_first_call(self):
-        manager = self._FakeManager()
-        dispatch = SimulatedDispatch(self._kernel(), manager,
-                                     countdown=0)
-        dispatch()
-        dispatch()
-        assert manager.promotions == 1
-
-    def test_batch_ticks_count_toward_threshold(self):
-        manager = self._FakeManager()
-        dispatch = SimulatedDispatch(self._kernel(), manager,
-                                     countdown=5)
-        dispatch.call_batch([(i,) for i in range(8)])
-        assert manager.promotions == 1
-        dispatch.call_batch([(i,) for i in range(8)])
-        assert manager.promotions == 1

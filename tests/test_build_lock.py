@@ -13,6 +13,7 @@ the lock with the host's compiler.  The races between real processes
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -433,11 +434,10 @@ class TestCompileDeadline:
 @pytest.fixture
 def session(tmp_path, monkeypatch):
     """A fresh store at ``REPRO_CACHE_DIR``, no quarantines, the host's
-    own compiler and the default disk, smoke and deadline settings."""
+    own compiler and the default deadline."""
     root = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    for var in ("REPRO_CC", "REPRO_DISK_CACHE", "REPRO_SMOKE",
-                "REPRO_COMPILE_DEADLINE"):
+    for var in ("REPRO_CC", "REPRO_COMPILE_DEADLINE"):
         monkeypatch.delenv(var, raising=False)
     clear_session_state()
     yield root
@@ -573,7 +573,7 @@ class TestAcquireUnderTheLock:
             return smoke(artifact, *args, **kwargs)
 
         monkeypatch.setattr(resilience, "smoke_test_artifact", checking)
-        native, report = acquire_native(staged, smoke=True)
+        native, report = acquire_native(staged)
         assert report.cache_source == "compiled"
         assert report.smoke == "passed"
         assert free_during_smoke == [True]
@@ -608,17 +608,44 @@ class TestAcquireUnderTheLock:
         assert "disk_probe" in names
         assert "build_lock" not in names
 
-    def test_without_the_disk_tier_no_lock_is_taken(self, session):
-        native, report = acquire_native(_staged(11.5, "nodisk_k"),
-                                        use_disk_cache=False)
-        assert report.cache_source == "compiled"
-        assert _runs_right(native, 11.5)
-        assert not _spans("build_lock")
-        assert not list(session.rglob("*.build"))
-
     def test_a_signature_that_cannot_cross_is_refused_before_the_lock(
             self, session):
         with pytest.raises(NativeLinkError, match="cannot cross") as exc:
             acquire_native(_vector_param_staged())
         assert exc.value.report.compiler_invocations == 0
         assert not _spans("build_lock")
+
+
+@requires_compiler
+class TestAcquireDefaults:
+    """The disk tier and the smoke-run are always on, and a store that
+    cannot be written costs the kernel nothing."""
+
+    def test_the_former_off_switches_are_not_read(self, session,
+                                                  monkeypatch):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        monkeypatch.setenv("REPRO_SMOKE", "0")
+        staged = _staged(12.5, "defaults_k")
+        native, report = acquire_native(staged)
+        assert report.cache_source == "compiled"
+        assert report.smoke == "passed"
+        assert _runs_right(native, 12.5)
+        clear_session_state()           # forget that the smoke-run passed
+        _native, again = acquire_native(staged)
+        assert again.cache_source == "disk"
+        assert again.smoke == "passed"
+
+    def test_a_store_that_cannot_be_written_does_not_block_the_build(
+            self, session, monkeypatch):
+        def full(self, key, so_bytes, meta):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(DiskKernelCache, "put", full)
+        staged = _staged(14.5, "full_k")
+        native, report = acquire_native(staged)
+        assert report.cache_source == "compiled"
+        assert report.smoke == "passed"
+        assert _runs_right(native, 14.5)
+        assert DiskKernelCache(root=session).get(
+            _preferred_key(staged)) is None
+        assert not list(session.rglob("*.build"))

@@ -1,6 +1,5 @@
 """Chaos hardening: deterministic fault injection, the crash-consistent
-sharded disk cache, the compile watchdog, and circuit-breaker
-degradation (DESIGN.md §11).
+sharded disk cache and the compile watchdog (DESIGN.md §11).
 
 The capstone is the chaos differential suite: tier-1 kernels run under
 seeded ``REPRO_FAULTS`` schedules and must return bit-identical results
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import BackendKind, compile_staged
+from repro.core import compile_staged
 from repro.core import faults
 from repro.core.cache import (
     CacheLockTimeout,
@@ -29,8 +28,7 @@ from repro.core.cache import (
     default_cache,
 )
 from repro.core.resilience import clear_session_state
-from repro.core.tiered import CircuitBreaker, default_manager
-from repro.lms import forloop, stage_function
+from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
 from tests.conftest import requires_compiler
@@ -221,73 +219,6 @@ class TestShardedCache:
         assert disk.get(key) is not None           # recovers after
 
 
-class TestCircuitBreaker:
-    @pytest.fixture
-    def fast_breaker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "10")
-        clock = [0.0]
-        breaker = CircuitBreaker(clock=lambda: clock[0])
-        return breaker, clock
-
-    def test_opens_after_consecutive_env_failures(self, fast_breaker):
-        breaker, _ = fast_breaker
-        assert breaker.allow() == (True, False)
-        breaker.record_env_failure()
-        assert breaker.state == "closed"
-        breaker.record_env_failure()
-        assert breaker.state == "open"
-        assert breaker.allow() == (False, False)
-        assert breaker.opens == 1
-
-    def test_success_resets_streak(self, fast_breaker):
-        breaker, _ = fast_breaker
-        breaker.record_env_failure()
-        breaker.record_success()
-        breaker.record_env_failure()
-        assert breaker.state == "closed"        # streak broken
-
-    def test_kernel_failure_resets_streak(self, fast_breaker):
-        breaker, _ = fast_breaker
-        breaker.record_env_failure()
-        breaker.record_other()                  # toolchain proven alive
-        breaker.record_env_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_single_probe_and_recovery(self, fast_breaker):
-        breaker, clock = fast_breaker
-        breaker.record_env_failure()
-        breaker.record_env_failure()
-        assert breaker.allow() == (False, False)
-        clock[0] = 11.0
-        assert breaker.allow() == (True, True)      # the probe
-        assert breaker.allow() == (False, False)    # only one at a time
-        breaker.record_success(probe=True)
-        assert breaker.state == "closed"
-        assert breaker.allow() == (True, False)
-
-    def test_failed_probe_reopens(self, fast_breaker):
-        breaker, clock = fast_breaker
-        breaker.record_env_failure()
-        breaker.record_env_failure()
-        clock[0] = 11.0
-        assert breaker.allow() == (True, True)
-        breaker.record_env_failure(probe=True)
-        assert breaker.state == "open"
-        assert breaker.opens == 2
-        assert breaker.allow() == (False, False)    # cooldown restarted
-
-    def test_aborted_probe_allows_immediate_retry(self, fast_breaker):
-        breaker, clock = fast_breaker
-        breaker.record_env_failure()
-        breaker.record_env_failure()
-        clock[0] = 11.0
-        assert breaker.allow() == (True, True)
-        breaker.record_aborted(probe=True)          # drain cancelled it
-        assert breaker.state == "open"
-        assert breaker.allow() == (True, True)      # no fresh cooldown
-
-
 class TestWatchdog:
     def _hang_cc(self, tmp_path: Path) -> Path:
         return _write_script(tmp_path / "hang-cc",
@@ -362,73 +293,6 @@ class TestWatchdog:
         # one watchdog kill at ~0.8s, then the expired deadline stops
         # the walk — nowhere near the 30s per-attempt timeout
         assert elapsed < 8.0, f"deadline ignored: ran {elapsed:.1f}s"
-
-
-@requires_compiler
-class TestBreakerIntegration:
-    types = [array_of(FLOAT), INT32]
-
-    def _kernel(self, salt, name):
-        return compile_staged(build_unique(salt, name), self.types,
-                              name=name, tier="async")
-
-    def test_open_breaker_sheds_then_probe_recovers(
-            self, chaos_state, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "0.2")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
-        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "1")
-        # an unrunnable compiler: every attempt is an environment-level
-        # transient ("could not be invoked")
-        monkeypatch.setenv("REPRO_CC", f"gcc={tmp_path}/missing-cc")
-
-        k1 = self._kernel(1.5, "brk1").wait_native(60)
-        k2 = self._kernel(2.5, "brk2").wait_native(60)
-        assert k1.backend == BackendKind.SIMULATED
-        assert k2.backend == BackendKind.SIMULATED
-        assert default_manager.breaker.state == "open"
-        submitted_before = default_manager.stats()["submitted"]
-
-        # open breaker: shed straight to the simulator, no compile
-        k3 = self._kernel(3.5, "brk3")
-        assert k3.wait_native(5) is k3
-        assert k3.backend == BackendKind.SIMULATED
-        assert "circuit breaker open" in k3.fallback_reason
-        stats = default_manager.stats()
-        assert stats["submitted"] == submitted_before   # zero enqueued
-        assert stats["shed"] >= 1
-        a = np.ones(8, np.float32)
-        k3(a, 8)                    # shed kernels still serve results
-        assert a[0] == pytest.approx(2.0 + 3.5)
-
-        # environment repaired + cooldown elapsed: one half-open probe
-        # compiles for real, closes the breaker, traffic resumes
-        monkeypatch.delenv("REPRO_CC")
-        time.sleep(0.25)
-        k4 = self._kernel(4.5, "brk4").wait_native(60)
-        assert k4.backend == BackendKind.NATIVE
-        assert default_manager.breaker.state == "closed"
-        k5 = self._kernel(5.5, "brk5").wait_native(60)
-        assert k5.backend == BackendKind.NATIVE
-
-    def test_queue_bound_sheds_to_simulator(
-            self, chaos_state, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE_BOUND", "1")
-        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "1")
-        slow = _write_script(tmp_path / "slow-cc",
-                             _VERSION_PASSTHROUGH
-                             + "sleep 0.8\nexec gcc \"$@\"\n")
-        monkeypatch.setenv("REPRO_CC", f"gcc={slow}")
-        k1 = self._kernel(6.5, "qb1")
-        k2 = self._kernel(7.5, "qb2")          # past the bound: shed
-        assert k2.backend == BackendKind.SIMULATED
-        assert "queue at bound" in k2.fallback_reason
-        assert default_manager.stats()["shed"] == 1
-        a = np.ones(8, np.float32)
-        k2(a, 8)
-        assert a[0] == pytest.approx(2.0 + 7.5)
-        k1.wait_native(60)
-        assert k1.backend == BackendKind.NATIVE
 
 
 @requires_compiler
@@ -533,13 +397,14 @@ class TestReportSurface:
         faults.reset()
         assert faults.fire("link.fail")
         obs.counter("watchdog.kills", compiler="gcc")
-        obs.gauge("tiered.breaker_state", 2)
+        obs.counter("tiered.abandoned", 2)
         snap = obs.get_registry().snapshot()
         text = render_report([], snap)
         assert "== resilience ==" in text
         assert "faults.fired" in text and "link.fail" in text
         assert "watchdog.kills = 1" in text
-        assert "breaker: open" in text
+        assert "tiered.abandoned = 2" in text
+        assert "cache.disk.recovered = 0" in text
         monkeypatch.delenv("REPRO_FAULTS")
         faults.reset()
         obs.reset()

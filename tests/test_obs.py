@@ -13,6 +13,7 @@ import pytest
 import repro.obs as obs
 from repro.core.env import env_float, env_int
 from repro.obs.core import (
+    RING_CAPACITY,
     MetricsRegistry,
     Span,
     Tracer,
@@ -69,6 +70,17 @@ class TestTracer:
         spans = tracer.finished_spans()
         assert len(spans) == 16
         assert spans[-1].name == "e99"
+
+    def test_default_ring_holds_ring_capacity_spans(self, monkeypatch):
+        """The default bound is a constant: the variable that once set
+        it is not read."""
+        monkeypatch.setenv("REPRO_OBS_RING", "16")
+        tracer = Tracer()
+        for i in range(RING_CAPACITY + 5):
+            tracer.event(f"e{i}")
+        spans = tracer.finished_spans()
+        assert len(spans) == RING_CAPACITY
+        assert spans[0].name == "e5"
 
     def test_exception_marks_error_and_propagates(self):
         tracer = Tracer()
@@ -354,16 +366,15 @@ class TestReport:
         self._record_some_activity()   # no resilience activity at all
         text = render_report(obs.get_tracer().finished_spans(),
                              obs.get_registry().snapshot())
-        for row in ("watchdog.kills = 0", "tiered.shed = 0",
-                    "tiered.abandoned = 0", "tiered.breaker_opens = 0",
+        for row in ("watchdog.kills = 0", "tiered.abandoned = 0",
                     "cache.disk.recovered = 0",
                     "cache.disk.locks_broken = 0",
                     "native.workdirs_swept = 0"):
             assert row in text, row
         # and nonzero values still render
-        obs.counter("tiered.shed", 4)
+        obs.counter("tiered.abandoned", 4)
         text = render_report([], obs.get_registry().snapshot())
-        assert "tiered.shed = 4" in text
+        assert "tiered.abandoned = 4" in text
 
 
 class TestSimulatorProfile:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import compile_staged
-from repro.core.cache import KernelCache, graph_hash
+from repro.core.cache import (
+    KERNEL_CACHE_ENTRIES,
+    PROGRAM_CACHE_ENTRIES,
+    KernelCache,
+    ProgramCache,
+    graph_hash,
+)
 from repro.lms import const, forloop, stage_function
 from repro.lms.defs import BinaryOp, ForLoop
 from repro.lms.ops import array_apply, array_update
@@ -178,6 +184,34 @@ class TestKernelCache:
         assert len(cache) == 2
         assert cache.get_for(sfs[0], "simulated") is None  # evicted
         assert cache.get_for(sfs[2], "simulated") == "k2"
+
+    def test_default_kernel_bound_is_a_constant(self, monkeypatch):
+        """``KERNEL_CACHE_ENTRIES`` kernels fit; the next one evicts
+        the least recent.  The variable that once set the bound is not
+        read."""
+        monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "1")
+        cache = KernelCache()
+        sfs = [self._staged_k(i) for i in range(KERNEL_CACHE_ENTRIES + 1)]
+        for i, sf in enumerate(sfs[:-1]):
+            cache.put_for(sf, "simulated", f"k{i}")
+        assert len(cache) == KERNEL_CACHE_ENTRIES
+        cache.put_for(sfs[-1], "simulated", "last")
+        assert len(cache) == KERNEL_CACHE_ENTRIES
+        assert cache.get_for(sfs[0], "simulated") is None  # evicted
+        assert cache.get_for(sfs[1], "simulated") == "k1"
+
+    def test_default_program_bound_is_a_constant(self, monkeypatch):
+        """The program memo keeps ``PROGRAM_CACHE_ENTRIES`` programs,
+        whatever the variable that once set its bound says."""
+        monkeypatch.setenv("REPRO_CACHE_PROGRAM_ENTRIES", "1")
+        cache = ProgramCache()
+        sfs = [self._staged_k(i) for i in range(PROGRAM_CACHE_ENTRIES + 1)]
+        for i, sf in enumerate(sfs):
+            cache.put(sf, f"p{i}")
+        assert len(cache) == PROGRAM_CACHE_ENTRIES
+        assert cache.get(sfs[0]) is None                   # evicted
+        assert cache.get(sfs[1]) == "p1"
+        assert cache.get(sfs[-1]) == f"p{PROGRAM_CACHE_ENTRIES}"
 
     def test_lru_keeps_the_most_recent(self):
         """Eviction is by recency alone: five hits do not save an entry

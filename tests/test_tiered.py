@@ -2,16 +2,18 @@
 
 Covers the HotSpot-shaped execution lattice: instant simulated-tier
 service with background native compilation and atomic hot-swap
-(``REPRO_TIER=async``), hotness-gated promotion (``hot``), quarantine
--aware demotion that never raises into callers, single-flight compile
-deduplication by graph hash, ``compile_many`` batch warming, hermetic
-``clear_session_state`` draining, and the precomputed marshalling plan
-of the native dispatch fast path.
+(``REPRO_TIER=async``) with every promotion admitted, quarantine-aware
+demotion that never raises into callers and leaves no admission state
+behind, single-flight compile deduplication by graph hash,
+``compile_many`` batch warming, hermetic ``clear_session_state``
+draining, and the precomputed marshalling plan of the native dispatch
+fast path.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import stat
 import subprocess
 import threading
@@ -21,15 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.tiered as tiered
+from repro.codegen.compiler import CompileError, _detect_compilers_cached
 from repro.core import BackendKind, compile_many, compile_staged, wait_all
 from repro.core.cache import default_cache
 from repro.core.resilience import clear_session_state, quarantined_kernels
-from repro.core.tiered import (
-    compile_workers,
-    default_manager,
-    hot_threshold,
-    tier_mode,
-)
+from repro.core.tiered import compile_workers, default_manager, tier_mode
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
@@ -66,12 +65,28 @@ def tiered_state(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
     monkeypatch.delenv("REPRO_CC", raising=False)
     monkeypatch.delenv("REPRO_TIER", raising=False)
-    monkeypatch.delenv("REPRO_HOT_THRESHOLD", raising=False)
     default_cache.clear()
     clear_session_state()
     yield cache_dir
     default_cache.clear()
     clear_session_state()
+
+
+@pytest.fixture
+def held_compiles(tiered_state, monkeypatch):
+    """Background compiles that wait to be released and then fail as a
+    broken toolchain does: the admission path without a compiler run.
+    Released at teardown at the latest, so a failing test cannot leave
+    the drain waiting."""
+    release = threading.Event()
+
+    def acquire(staged, **_kwargs):
+        release.wait(60)
+        raise CompileError(f"held compile of {staged.name} released")
+
+    monkeypatch.setattr(tiered, "acquire_native", acquire)
+    yield release
+    release.set()
 
 
 def _write_script(path: Path, body: str) -> Path:
@@ -114,33 +129,30 @@ class TestEnvKnobs:
     def test_tier_mode_default_and_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_TIER", raising=False)
         assert tier_mode() == "sync"
-        for mode in ("sync", "async", "hot"):
+        for mode in ("sync", "async"):
             monkeypatch.setenv("REPRO_TIER", mode)
             assert tier_mode() == mode
         monkeypatch.setenv("REPRO_TIER", "ASYNC")
         assert tier_mode() == "async"
 
     def test_tier_mode_malformed_warns_to_sync(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "turbo")
-        with pytest.warns(RuntimeWarning, match="REPRO_TIER"):
-            assert tier_mode() == "sync"
+        for raw in ("turbo", "hot"):
+            monkeypatch.setenv("REPRO_TIER", raw)
+            with pytest.warns(RuntimeWarning, match="REPRO_TIER"):
+                assert tier_mode() == "sync"
 
-    def test_worker_and_threshold_knobs(self, monkeypatch):
+    def test_compile_workers_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "3")
         assert compile_workers() == 3
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "0")
         assert compile_workers() == 1          # clamped
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "5")
-        assert hot_threshold() == 5
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "nope")
-        with pytest.warns(RuntimeWarning):
-            assert hot_threshold() == 8
 
     def test_unknown_tier_argument_raises(self, tiered_state):
-        with pytest.raises(ValueError, match="unknown tier"):
-            compile_staged(build_unique(0.5, "badtier"),
-                           [array_of(FLOAT), INT32],
-                           name="badtier", tier="turbo")
+        for tier in ("turbo", "hot"):
+            with pytest.raises(ValueError, match="unknown tier"):
+                compile_staged(build_unique(0.5, "badtier"),
+                               [array_of(FLOAT), INT32],
+                               name="badtier", tier=tier)
 
 
 @requires_compiler
@@ -211,35 +223,61 @@ class TestAsyncTier:
         assert "tiered.compile" in text     # background trace attached
 
 
-@requires_compiler
-class TestHotTier:
-    def test_promotion_waits_for_invocation_threshold(
-            self, tiered_state, monkeypatch):
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "3")
-        kernel = compile_staged(build_unique(9.5, "hot_k"),
-                                [array_of(FLOAT), INT32],
-                                name="hot_k", tier="hot")
-        assert default_manager.stats()["submitted"] == 0
-        for _ in range(2):
-            a = np.ones(8, np.float32)
-            kernel(a, 8)
-            assert np.array_equal(a, _expected(9.5))
-        assert default_manager.stats()["submitted"] == 0
-        assert kernel._tier_job is None
-        a = np.ones(8, np.float32)
-        kernel(a, 8)        # the third call crosses the threshold
-        assert default_manager.stats()["submitted"] == 1
-        kernel.wait_native(60)
-        assert kernel.tier == "native"
+class TestAdmission:
+    """Every promotion gets its compile: no queue bound, no breaker."""
 
-    def test_wait_native_forces_promotion_before_threshold(
-            self, tiered_state, monkeypatch):
-        monkeypatch.setenv("REPRO_HOT_THRESHOLD", "1000")
-        kernel = compile_staged(build_unique(10.5, "hotforce_k"),
+    def test_a_burst_past_64_pending_compiles_is_all_admitted(
+            self, held_compiles):
+        n = 70
+        names = [f"burst{i}" for i in range(n)]
+        kernels = compile_many(
+            [build_unique(100.0 + i, name) for i, name in enumerate(names)],
+            [[array_of(FLOAT), INT32]] * n, names=names)
+        stats = default_manager.stats()
+        assert stats["submitted"] == n
+        assert stats["pending"] == n
+        assert all(k.fallback_reason is None for k in kernels)
+        a = np.ones(8, np.float32)
+        kernels[-1](a, 8)             # served while its compile waits
+        assert np.array_equal(a, _expected(100.0 + n - 1))
+        held_compiles.set()
+        wait_all(kernels, timeout=60)
+        assert default_manager.stats() == {
+            "submitted": n, "attached": 0, "swapped": 0, "demoted": n,
+            "cancelled": 0, "pending": 0}
+        assert [k.fallback_reason for k in kernels] == [
+            f"held compile of {name} released" for name in names]
+
+    def test_wait_native_times_out_while_the_compile_runs(
+            self, held_compiles):
+        kernel = compile_staged(build_unique(171.5, "held_k"),
                                 [array_of(FLOAT), INT32],
-                                name="hotforce_k", tier="hot")
-        kernel.wait_native(60)
-        assert kernel.tier == "native"
+                                name="held_k", tier="async")
+        with pytest.raises(TimeoutError, match="held_k"):
+            kernel.wait_native(0.05)
+        assert kernel.tier == "simulated"
+        assert kernel.tier_events[-1].action == "enqueue"
+        held_compiles.set()
+        assert kernel.wait_native(60) is kernel
+        assert kernel.tier_events[-1].action == "demote"
+
+    @requires_compiler
+    def test_kernels_without_a_background_compile_are_never_promoted(
+            self, tiered_state):
+        """``wait_native`` returns at once and enqueues nothing for a
+        kernel that has no background compile: a sync kernel settled
+        inline, a forced simulated one stays simulated."""
+        types = [array_of(FLOAT), INT32]
+        synced = compile_staged(build_unique(172.5, "inline_k"), types,
+                                name="inline_k", tier="sync")
+        forced = compile_staged(build_unique(173.5, "forced_sim_k"),
+                                types, name="forced_sim_k",
+                                backend="simulated", tier="async")
+        assert synced.wait_native(0) is synced
+        assert forced.wait_native(0) is forced
+        assert synced.tier == "native"
+        assert forced.tier == "simulated"
+        assert default_manager.stats()["submitted"] == 0
 
 
 @requires_compiler
@@ -264,6 +302,54 @@ class TestDemotion:
         b = np.ones(8, np.float32)
         kernel(b, 8)
         assert np.array_equal(b, _expected(11.5))
+
+    def test_recovery_needs_no_cooldown(self, tiered_state, tmp_path,
+                                        monkeypatch):
+        """Kernels demoted by a broken toolchain leave no admission
+        state behind: the first kernel after the repair compiles."""
+        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        # an unrunnable compiler: every attempt fails to start
+        monkeypatch.setenv("REPRO_CC", f"gcc={tmp_path}/missing-cc")
+        types = [array_of(FLOAT), INT32]
+        for i in range(3):
+            kernel = compile_staged(
+                build_unique(14.5 + i, f"down{i}"), types,
+                name=f"down{i}", tier="async").wait_native(60)
+            assert kernel.backend == BackendKind.SIMULATED
+            assert kernel.tier_events[-1].action == "demote"
+        monkeypatch.delenv("REPRO_CC")
+        kernel = compile_staged(build_unique(17.0, "up"), types,
+                                name="up", tier="async").wait_native(60)
+        assert kernel.tier == "native"
+        a = np.ones(8, np.float32)
+        kernel(a, 8)
+        assert np.array_equal(a, _expected(17.0))
+
+    def test_no_compiler_on_path_demotes_without_an_attempt(
+            self, tiered_state, tmp_path, monkeypatch):
+        """With no compiler to find, a background compile demotes its
+        kernel at once; once one is back the next kernel compiles."""
+        types = [array_of(FLOAT), INT32]
+        path = os.environ["PATH"]
+        monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+        _detect_compilers_cached.cache_clear()
+        try:
+            kernel = compile_staged(build_unique(18.5, "nocc"), types,
+                                    name="nocc",
+                                    tier="async").wait_native(60)
+        finally:
+            monkeypatch.setenv("PATH", path)
+            _detect_compilers_cached.cache_clear()
+        assert kernel.backend == BackendKind.SIMULATED
+        assert kernel.fallback_reason == "no C compiler available"
+        assert kernel.report.compiler_invocations == 0
+        a = np.ones(8, np.float32)
+        kernel(a, 8)
+        assert np.array_equal(a, _expected(18.5))
+        kernel = compile_staged(build_unique(19.0, "cc_back"), types,
+                                name="cc_back",
+                                tier="async").wait_native(60)
+        assert kernel.tier == "native"
 
     def _poison_disk_cache(self, cache_dir: Path, symbol: str,
                            workdir: Path) -> None:
