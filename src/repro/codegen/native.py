@@ -197,13 +197,14 @@ class NativeKernel:
 
 
 def required_isas(staged: StagedFunction) -> frozenset[str]:
-    """The ISAs a staged function's intrinsics need: the union of the
-    CPUIDs the eDSL generator stamped on each intrinsic's class."""
+    """The ISAs a staged function's live intrinsics need: the union of
+    the CPUIDs the eDSL generator stamped on each intrinsic's class.
+    Dead intrinsics are not emitted, so they add no ISA."""
     from repro.isa.base import IntrinsicsDef
     from repro.lms.defs import iter_defs
 
     needed: set[str] = set()
-    for stm, _ in iter_defs(staged.body):
+    for stm, _ in iter_defs(staged.scheduled()):
         if isinstance(stm.rhs, IntrinsicsDef):
             needed.update(stm.rhs.cpuids)
     return frozenset(needed)

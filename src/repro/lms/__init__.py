@@ -60,14 +60,7 @@ from repro.lms.ops import (
 )
 from repro.lms.control import forloop, if_then_else, while_loop
 from repro.lms.staging import StagedFunction, stage_function
-from repro.lms.transform import Transformer, mirror_block, remirror_function
-from repro.lms.rewrites import SafeTransformer, SimplifyTransformer, may_trap
-from repro.lms.optimize import (
-    OptStats,
-    PassManager,
-    effective_level,
-    optimize_staged,
-)
+from repro.lms.transform import Transformer, mirror_block
 
 __all__ = [
     "ArrayType",
@@ -97,11 +90,7 @@ __all__ = [
     "M512I",
     "MASK8",
     "MASK16",
-    "OptStats",
-    "PassManager",
-    "SafeTransformer",
     "ScalarType",
-    "SimplifyTransformer",
     "StagedFunction",
     "Stm",
     "Sym",
@@ -118,14 +107,10 @@ __all__ = [
     "const",
     "convert",
     "current_builder",
-    "effective_level",
     "forloop",
     "fresh",
     "if_then_else",
-    "may_trap",
     "mirror_block",
-    "optimize_staged",
-    "remirror_function",
     "select",
     "stage_function",
     "staged_max",

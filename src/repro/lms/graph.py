@@ -17,7 +17,6 @@ import contextlib
 import threading
 from typing import Iterator
 
-from repro.lms import effects as fx
 from repro.lms.defs import Block, Def, Stm
 from repro.lms.effects import EffectContext, Effects, PURE
 from repro.lms.expr import Exp, Sym
@@ -85,25 +84,16 @@ class IRBuilder:
 
     # -- reflection ---------------------------------------------------------
 
-    def reflect_pure(self, rhs: Def, cse: bool = True) -> Sym:
-        """Reflect a pure node, reusing an existing statement via CSE.
-
-        ``cse=False`` reflects without consulting or entering the CSE
-        tables.  The optimizer uses it for pure nodes that can raise at
-        run time (integer division, casts of non-finite floats): merging
-        two such nodes could turn a dead occurrence live and change
-        which error path fires relative to the unoptimized graph.
-        """
-        if cse:
-            key = rhs.structural_key()
-            for frame in reversed(self._frames):
-                if key in frame.cse:
-                    return frame.cse[key]
+    def reflect_pure(self, rhs: Def) -> Sym:
+        """Reflect a pure node, reusing an existing statement via CSE."""
+        key = rhs.structural_key()
+        for frame in reversed(self._frames):
+            if key in frame.cse:
+                return frame.cse[key]
         sym = self.fresh(rhs.tp)
         stm = Stm(sym, rhs, PURE)
         self._frame.stms.append(stm)
-        if cse:
-            self._frame.cse[key] = sym
+        self._frame.cse[key] = sym
         self.definitions[sym.id] = stm
         return sym
 

@@ -11,8 +11,6 @@ generated ``mirror`` pattern match).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.lms import effects as fx
 from repro.lms.defs import (
     ArrayApply,
@@ -32,7 +30,7 @@ from repro.lms.defs import (
     VarRead,
     WhileLoop,
 )
-from repro.lms.expr import Const, Exp, Sym
+from repro.lms.expr import Exp, Sym
 from repro.lms.graph import IRBuilder, current_builder
 
 
@@ -149,33 +147,3 @@ def mirror_block(block: Block, subst: dict[int, Exp] | None = None,
         result = t(block.result)
         new_block, _ = finish_root_block(b, result)
     return new_block, b
-
-
-def remirror_function(staged, t: Transformer):
-    """Mirror a whole :class:`~repro.lms.staging.StagedFunction` through
-    ``t`` into a fresh builder, carrying parameter names and mutability
-    marks over.  This is the shared entry/exit boilerplate of every
-    whole-function rewrite pass (simplification, the optimizer passes).
-    """
-    from repro.lms.graph import finish_root_block, staging_scope
-    from repro.lms.staging import StagedFunction
-
-    builder = IRBuilder()
-    with staging_scope(builder):
-        new_params = [builder.fresh(p.tp) for p in staged.params]
-        for old, new in zip(staged.params, new_params):
-            t.register(old, new)
-        for sym_id in staged.builder.mutable_syms:
-            # Mutability marks carry over to the mirrored params.
-            for old, new in zip(staged.params, new_params):
-                if old.id == sym_id:
-                    builder.mark_mutable(new)
-        t.transform_statements(staged.body)
-        result = t(staged.body.result)
-        body, effects = finish_root_block(
-            builder, result if not isinstance(result, Const)
-            or result.value is not None else None)
-    return StagedFunction(
-        name=staged.name, params=new_params,
-        param_names=list(staged.param_names), body=body,
-        effects=effects, builder=builder)

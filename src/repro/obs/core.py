@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import threading
 import time
@@ -59,6 +60,8 @@ def profile_enabled() -> bool:
 
 #: Finished spans the tracer keeps; older ones fall off the ring.
 RING_CAPACITY = 4096
+
+_START_ORDER = operator.attrgetter("start_ns", "span_id")
 
 
 @dataclass
@@ -220,12 +223,15 @@ class Tracer:
         """Snapshot of the ring, oldest first (start order within a
         thread; completion order globally)."""
         with self._lock:
-            return sorted(self._finished, key=lambda s: (s.start_ns,
-                                                         s.span_id))
+            return sorted(self._finished, key=_START_ORDER)
 
     def spans_for_trace(self, trace_id: int) -> list[Span]:
-        return [s for s in self.finished_spans()
-                if s.trace_id == trace_id]
+        """One trace's spans, in :meth:`finished_spans` order.  Filters
+        before sorting, so a caller pays for its trace, not the ring."""
+        with self._lock:
+            spans = [s for s in self._finished if s.trace_id == trace_id]
+        spans.sort(key=_START_ORDER)
+        return spans
 
     def clear(self) -> None:
         with self._lock:

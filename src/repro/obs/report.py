@@ -124,22 +124,6 @@ def _resilience_summary(counters: Mapping[str, float]) -> list[str]:
     return lines
 
 
-def _optimizer_summary(counters: Mapping[str, float]) -> list[str]:
-    """Middle-end activity (see :mod:`repro.lms.optimize`).  Standing
-    rows always print — zeros included — so a report from a run that
-    optimized nothing diffs cleanly against one that did."""
-    lines: list[str] = []
-    lines.append(f"opt.runs = {int(counters.get('opt.runs', 0.0))}")
-    eliminated = sorted((cell, value) for cell, value in counters.items()
-                        if cell.startswith("opt.eliminated"))
-    total = sum(value for _, value in eliminated)
-    lines.append(f"opt.eliminated = {int(total)}")
-    for cell, value in eliminated:
-        lines.append(f"  {cell} = {int(value)}")
-    lines.append(f"opt.hoisted = {int(counters.get('opt.hoisted', 0.0))}")
-    return lines
-
-
 def render_report(spans: Sequence[Span],
                   metrics: Mapping | None,
                   top: int = 15) -> str:
@@ -166,9 +150,6 @@ def render_report(spans: Sequence[Span],
     out.append("")
     out.append("== compile ladder ==")
     out.extend(_ladder_summary(counters))
-    out.append("")
-    out.append("== optimizer ==")
-    out.extend(_optimizer_summary(counters))
     out.append("")
     out.append("== resilience ==")
     out.extend(_resilience_summary(counters))

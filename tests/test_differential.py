@@ -3,10 +3,9 @@
 Classic compiler validation, twice over:
 
 * native C backend vs the SIMD machine — generate random (but
-  well-defined) staged scalar kernels, optimize them as
-  ``compile_staged`` does, compile the result through gcc/clang, and
-  require bit-exact agreement with both the raw and the optimized graph
-  on both simulator engines.  Shift counts are masked at staging time
+  well-defined) staged scalar kernels, compile them through gcc/clang,
+  and require bit-exact agreement with both simulator engines on the
+  same graph.  Shift counts are masked at staging time
   and division is excluded, so every generated program has one defined
   meaning; ``-fwrapv`` gives signed wraparound the same semantics in C
   as in the graph.
@@ -24,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.obs as obs
-from repro.codegen.compiler import inspect_system
 from repro.codegen.native import compile_to_native
 from repro.lms import forloop, stage_function
 from repro.lms.expr import Exp, const
@@ -36,7 +34,6 @@ from repro.lms.ops import (
     select,
 )
 from repro.lms.control import if_then_else, while_loop
-from repro.lms.optimize import optimize_staged
 from repro.lms.types import FLOAT, INT32, array_of
 from repro.simd.machine import SimdMachine
 from tests.conftest import requires_compiler
@@ -116,15 +113,12 @@ def _build_kernel(choices: list[int], as_float: bool):
 
 
 def _check_native_agrees(staged, args, bits):
-    """Native code for the graph ``compile_staged`` ships (the optimized
-    one) must match the raw and the optimized graph on both engines."""
-    opt, _ = optimize_staged(staged)
-    kernel = compile_to_native(opt)
+    """Native code for ``staged`` must match both engines on it."""
+    kernel = compile_to_native(staged)
     native = bits(kernel(*args))
-    for graph in (staged, opt):
-        for engine in ("tree", "compiled"):
-            simulated = bits(SimdMachine(executor=engine).run(graph, args))
-            assert native == simulated, (engine, kernel.c_source)
+    for engine in ("tree", "compiled"):
+        simulated = bits(SimdMachine(executor=engine).run(staged, args))
+        assert native == simulated, (engine, kernel.c_source)
 
 
 @requires_compiler

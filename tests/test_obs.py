@@ -100,6 +100,16 @@ class TestTracer:
         a, b = tracer.finished_spans()
         assert a.trace_id != b.trace_id
         assert tracer.spans_for_trace(a.trace_id) == [a]
+        # a nested trace among other traces' spans: the child finishes
+        # (enters the ring) first, yet the parent still comes first
+        with tracer.span("parent"):
+            with tracer.span("child"):
+                pass
+        with tracer.span("three"):
+            pass
+        _, _, parent, child, _ = tracer.finished_spans()
+        assert (parent.name, child.name) == ("parent", "child")
+        assert tracer.spans_for_trace(parent.trace_id) == [parent, child]
 
     def test_thread_local_stacks(self):
         tracer = Tracer()

@@ -120,3 +120,28 @@ def test_kernel_attributes_the_worker_times_exist(tmp_path, monkeypatch):
     finally:
         default_cache.clear()
         clear_session_state()
+
+
+def test_traced_build_records_the_layers_perfbench_reads():
+    """perfbench's own recorder around one uncached build records the
+    spans its traced run reads per layer, with the statement counts of
+    ``lms.opt``: a build that stopped calling a wrapped name would stop
+    the traced run with ``not measured``."""
+    spans = runpy.run_path(str(PERFBENCH / "spans.py"),
+                           run_name="perfbench_spans")
+    recorder = spans["Recorder"]()
+
+    def fn(a, n):
+        forloop(0, n, step=1, body=lambda i: array_update(
+            a, i, array_apply(a, i) * 2.0 + 0.75))
+
+    recorder.install()
+    try:
+        compile_staged(fn, [array_of(FLOAT), INT32], name="traced_k",
+                       backend="simulated", use_cache=False)
+    finally:
+        recorder.uninstall()
+    by_name = {s.name: s for s in recorder.spans}
+    assert {"lms.stage", "lms.opt", "cgen.emit",
+            "timing.lower"} <= by_name.keys()
+    assert {"stms_in", "stms_out"} <= by_name["lms.opt"].attrs.keys()

@@ -330,10 +330,6 @@ class TestSmokeAndQuarantine:
         default_cache.clear()  # memory tier only; quarantine survives
         fn = build_unique(19.5, "q_k")
         staged = stage_function(fn, [array_of(FLOAT), INT32], "q_k")
-        # The pipeline quarantined the post-middle-end graph; reproduce
-        # the same preprocessing to hit the same quarantine key.
-        from repro.lms.optimize import optimize_staged
-        staged, _ = optimize_staged(staged)
         with pytest.raises(KernelQuarantinedError) as exc:
             acquire_native(staged)
         # refused before any compiler ran
@@ -524,6 +520,23 @@ class TestRequiredIsas:
         from repro.codegen.native import required_isas
 
         assert required_isas(self._fma_kernel(version)) == {"AVX", "FMA"}
+
+    def test_a_dead_intrinsic_adds_no_isa(self):
+        """Codegen emits the scheduled body only, so a dead AVX-512
+        intrinsic must not put AVX-512 into the flags or the host
+        check."""
+        from repro.codegen.native import required_isas
+        from repro.isa import load_isas
+
+        cir = load_isas("AVX", "AVX-512")
+
+        def add_dead512(a):
+            v = cir._mm256_loadu_ps(a, 0)
+            cir._mm512_set1_ps(1.0)   # dead
+            cir._mm256_storeu_ps(a, cir._mm256_add_ps(v, v), 0)
+
+        staged = stage_function(add_dead512, [array_of(FLOAT)], "dead512")
+        assert required_isas(staged) == {"AVX"}
 
 
 class TestSmokeTimeout:

@@ -16,6 +16,7 @@ import json
 import os
 import stat
 import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -33,6 +34,8 @@ from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
 from tests.conftest import requires_compiler
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def build_unique(salt: float, name: str):
@@ -553,6 +556,41 @@ class TestClearSessionState:
         k3 = compile_staged(build_unique(42.5, "drain3"), types,
                             name="drain3", tier="async").wait_native(60)
         assert k3.tier == "native"
+
+
+_STAGE_AND_RETURN = """
+import time
+from repro.core import compile_staged
+from repro.lms.types import FLOAT, INT32, array_of
+from tests.test_tiered import build_unique
+
+for i in range(4):
+    compile_staged(build_unique(60.5 + i, f"exit{i}"),
+                   [array_of(FLOAT), INT32], name=f"exit{i}", tier="async")
+print(time.monotonic(), flush=True)
+"""
+
+
+class TestExit:
+    def test_exit_cancels_queued_compiles(self, tiered_state, tmp_path):
+        """Under a hung compiler only the running compile holds the
+        process at exit (one deadline), not every queued one."""
+        hang = _write_script(tmp_path / "hang-cc",
+                             _VERSION_PASSTHROUGH + "sleep 600\n")
+        deadline = 2.0
+        env = dict(os.environ, REPRO_CC=f"gcc={hang}",
+                   REPRO_COMPILE_TIMEOUT="1",
+                   REPRO_COMPILE_DEADLINE=str(deadline),
+                   REPRO_COMPILE_WORKERS="1",
+                   PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
+        child = subprocess.run(
+            [sys.executable, "-c", _STAGE_AND_RETURN], env=env,
+            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60)
+        exited = time.monotonic()
+        assert child.returncode == 0, child.stderr
+        waited = exited - float(child.stdout.split()[-1])
+        # four queued kernels would hold it ~4 deadlines
+        assert waited < deadline + 3.0, f"exit took {waited:.1f}s"
 
 
 @requires_compiler
