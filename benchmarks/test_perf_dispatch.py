@@ -6,22 +6,30 @@ The numbers behind DESIGN.md §10: with ``REPRO_TIER=async`` a fresh
 kernel must answer its first call from the simulated tier in
 milliseconds (hard-asserted < 50 ms, the acceptance bar) while the
 native compile runs in the background; ``compile_many`` fans N ladder
-walks across the worker pool.  The warm-call micro-benchmark times five
-things interleaved best-of-N, so machine noise hits them alike: a plain
-``NativeKernel`` call (the generated extension glue), a sync native
-``CompiledKernel`` call of a kernel of the same shape, the legacy
+walks across the worker pool.  The warm-call micro-benchmark times
+eight things interleaved best-of-N, so machine noise hits them alike: a
+plain ``NativeKernel`` call (the generated extension glue), a sync
+native ``CompiledKernel`` call of a kernel of the same shape, a tiered
+``CompiledKernel`` call after its swap to native, the legacy
 re-derive-ctypes-per-call loop, the bare ctypes call of the raw kernel
 symbol with arguments pre-marshalled by ``marshalling_plan`` (the
-floor) and ``call_batch`` at n=1.  Everything lands in
-``BENCH_dispatch.json``, including ``call_over_floor`` (a plain call
-over the floor: about 0.4, since a call is the glue's C entry with no
-Python frame and the floor is a ctypes call), ``compiled_over_call``
-(a ``CompiledKernel`` call over a plain call: about 1, both being the
-same C call) and ``batch1_over_call`` (``call_batch`` at n=1 over a
-plain call, about 1.7); the only hard gates are the 50 ms first-call
-bound and "the plan does not lose" to the legacy loop — speedup targets
-are tracked through the JSON, not asserted, so a loaded CI box cannot
-flake the suite.
+floor), ``call_batch`` at n=1, and a 256-entry batch through
+``CompiledKernel.call_batch`` and through ``NativeKernel.call_batch``.
+Everything lands in ``BENCH_dispatch.json``, including
+``call_over_floor`` (a plain call over the floor: about 0.4, since a
+call is the glue's C entry with no Python frame and the floor is a
+ctypes call), ``compiled_over_call`` (a ``CompiledKernel`` call over a
+plain call: about 1, both being the same C call),
+``tiered_over_compiled`` (a tiered call over a sync one: about 1, the
+same C call again), ``compiled_batch_over_native_batch`` (about 1: a
+native ``CompiledKernel.call_batch`` is the glue's ``call_batch``) and
+``batch1_over_call`` (``call_batch`` at n=1 over a plain call, about
+1.7).  ``compile_many`` against sequential compiles is the best of
+three alternating runs per side, fresh kernels each run.  The only
+hard gates are the 50 ms first-call bound, "the plan does not lose" to
+the legacy loop and "``compile_many`` does not lose" to sequential
+compiles by more than 15% — speedup targets are tracked through the
+JSON, not asserted, so a loaded CI box cannot flake the suite.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ from tests.conftest import requires_compiler
 N = 8
 ROUNDS = 20000
 BATCH = 4
+#: Entries of the timed ``call_batch`` (perfbench's batch size).
+ENTRIES = 256
+#: Alternating runs per side of the compile_many comparison.
+COMPILE_RUNS = 3
 
 
 def build_unique(salt: float):
@@ -129,12 +141,16 @@ def test_perf_dispatch(monkeypatch, tmp_path):
             value if address is None else address(value)
             for address, value in zip(marshalling_plan(native.staged),
                                       args))
+        entries = [(np.ones(N, np.float32), N) for _ in range(ENTRIES)]
         calls = {
             "plan": lambda: native(*args),
             "compiled": lambda: sync_k(*args),
+            "tiered": lambda: async_k(*args),
             "legacy": lambda: _legacy_native_call(native, args),
             "floor": lambda: native._fn(*floor_args),
             "batch1": lambda: native.call_batch([args]),
+            "batch_compiled": lambda: sync_k.call_batch(entries),
+            "batch_native": lambda: sync_k._native.call_batch(entries),
         }
         best = dict.fromkeys(calls, float("inf"))
         for call in calls.values():         # warm
@@ -147,35 +163,48 @@ def test_perf_dispatch(monkeypatch, tmp_path):
         wall += sum(best.values()) * ROUNDS
 
         # -- compile_many: batch vs sequential ladder walks ------------
-        t0 = time.perf_counter()
-        for i in range(BATCH):
-            compile_staged(build_unique(10.0 + i), types,
-                           name=f"seq{i}", tier="sync")
-        sequential = time.perf_counter() - t0
+        # best of alternating runs per side, each on kernels no run has
+        # compiled: one wall-clock sample per side on a 2-core host
+        # swings past the gate either way
+        sequential = parallel = float("inf")
+        for run in range(COMPILE_RUNS):
+            t0 = time.perf_counter()
+            for i in range(BATCH):
+                compile_staged(build_unique(100.0 * run + 10.0 + i),
+                               types, name=f"seq{i}", tier="sync")
+            elapsed = time.perf_counter() - t0
+            sequential = min(sequential, elapsed)
+            wall += elapsed
 
-        clear_session_state()
-        t0 = time.perf_counter()
-        batch = compile_many(
-            [build_unique(20.0 + i) for i in range(BATCH)],
-            [types] * BATCH,
-            names=[f"par{i}" for i in range(BATCH)])
-        returned = time.perf_counter() - t0
-        wait_all(batch, timeout=240)
-        parallel = time.perf_counter() - t0
+            clear_session_state()
+            t0 = time.perf_counter()
+            batch = compile_many(
+                [build_unique(100.0 * run + 20.0 + i)
+                 for i in range(BATCH)],
+                [types] * BATCH,
+                names=[f"par{i}" for i in range(BATCH)])
+            returned = time.perf_counter() - t0
+            wait_all(batch, timeout=240)
+            elapsed = time.perf_counter() - t0
+            parallel = min(parallel, elapsed)
+            wall += elapsed
+            assert all(k.backend == BackendKind.NATIVE for k in batch)
+            assert returned < 0.5, (
+                f"compile_many blocked for {returned:.2f}s")
         batch_ratio = sequential / parallel
-        assert all(k.backend == BackendKind.NATIVE for k in batch)
-        assert returned < 0.5, (
-            f"compile_many blocked for {returned:.2f}s")
-        wall += sequential + parallel
 
         for label, seconds in [
                 ("ttfr-sync", ttfr_sync), ("ttfr-tiered", ttfr_async),
                 ("hot-swap-latency", swap_latency),
                 ("call-plan", best_plan),
                 ("call-compiled", best["compiled"]),
+                ("call-tiered", best["tiered"]),
                 ("call-legacy", best_legacy),
                 ("call-floor", best["floor"]),
                 ("call-batch1", best["batch1"]),
+                ("batch-compiled-per-entry",
+                 best["batch_compiled"] / ENTRIES),
+                ("batch-native-per-entry", best["batch_native"] / ENTRIES),
                 ("compile-seq", sequential),
                 ("compile-many", parallel)]:
             series.append({"kernel": label, "backend": "native",
@@ -188,7 +217,13 @@ def test_perf_dispatch(monkeypatch, tmp_path):
                         "compile_many": batch_ratio},
             "ratio": {"call_over_floor": best_plan / best["floor"],
                       "compiled_over_call": best["compiled"] / best_plan,
+                      "tiered_over_compiled":
+                          best["tiered"] / best["compiled"],
+                      "compiled_batch_over_native_batch":
+                          best["batch_compiled"] / best["batch_native"],
                       "batch1_over_call": best["batch1"] / best_plan},
+            "batch_entries": ENTRIES,
+            "compile_runs": COMPILE_RUNS,
             "workers": BATCH,
         }
         print_series(
@@ -199,15 +234,21 @@ def test_perf_dispatch(monkeypatch, tmp_path):
              ("hot-swap", swap_latency * 1e3),
              ("call plan [us]", best_plan * 1e6),
              ("call compiled [us]", best["compiled"] * 1e6),
+             ("call tiered [us]", best["tiered"] * 1e6),
              ("call legacy [us]", best_legacy * 1e6),
              ("call floor [us]", best["floor"] * 1e6),
              ("call_batch n=1 [us]", best["batch1"] * 1e6),
-             ("seq compile x4", sequential * 1e3),
-             ("compile_many x4", parallel * 1e3)])
+             (f"compiled call_batch/entry n={ENTRIES} [us]",
+              best["batch_compiled"] / ENTRIES * 1e6),
+             (f"native call_batch/entry n={ENTRIES} [us]",
+              best["batch_native"] / ENTRIES * 1e6),
+             ("seq compile x4 (best)", sequential * 1e3),
+             ("compile_many x4 (best)", parallel * 1e3)])
         # Soft gates: the plan must not lose to the per-call re-derive
-        # loop, and the batch must not lose to sequential compiles; the
-        # 2x batch target is tracked through BENCH_dispatch.json (it
-        # needs the multi-core CI runner, not a 1-cpu dev box).
+        # loop, and the batch must not lose to sequential compiles (best
+        # of COMPILE_RUNS per side); the 2x batch target is tracked
+        # through BENCH_dispatch.json (it needs the multi-core CI
+        # runner, not a 1-cpu dev box).
         assert plan_ratio > 1.0, (
             f"marshalling plan slower than legacy path "
             f"({plan_ratio:.2f}x)")

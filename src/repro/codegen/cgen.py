@@ -274,6 +274,8 @@ typedef struct {
     PyObject *plan;      /* marshalling_plan(staged): the slow path */
     /* each array parameter's dtype, set when the module executes */
     PyArray_Descr *descr[REPRO_NDESCR];
+    /* calls this module has run, bumped with the GIL held */
+    unsigned long long calls;
 } repro_state;
 
 /* One scalar argument, packed by value. */
@@ -301,6 +303,13 @@ repro_arity(Py_ssize_t got)
     PyErr_Format(PyExc_TypeError, "%s expects %d arguments, got %zd",
                  REPRO_NAME, REPRO_NARGS, got);
     return NULL;
+}
+
+static PyObject *
+repro_calls(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    repro_state *st = PyModule_GetState(self);
+    return PyLong_FromUnsignedLongLong(st == NULL ? 0 : st->calls);
 }
 
 static PyObject *
@@ -393,6 +402,8 @@ static PyMethodDef repro_methods[] = {
     {"call_batch", repro_call_batch, METH_O,
      "Call the kernel on each argument tuple of a sequence, in one "
      "crossing; nothing runs if any entry is refused."},
+    {"calls", repro_calls, METH_NOARGS,
+     "Calls run so far: one per call, one per batch entry."},
     {"bind", repro_bind, METH_O,
      "bind(plan): the slow path, one entry per parameter."},
     {NULL, NULL, 0, NULL},
@@ -467,7 +478,9 @@ def emit_extension_glue(staged: StagedFunction, fn_name: str) -> str:
     marshals every entry into the ``void**`` table of
     :func:`emit_batch_wrapper` and makes one call, so nothing runs if
     any entry is refused.  Both release the GIL around the kernel, as
-    ``ctypes`` does.  Arrays are read through NumPy's C API, whose
+    ``ctypes`` does, and count what they run in the module state first
+    (one per call, ``n`` per batch, nothing for a refused one), which
+    ``calls()`` reads.  Arrays are read through NumPy's C API, whose
     table the module imports when it executes; an argument the fast
     path refuses goes to its ``marshalling_plan`` entry, bound in at
     link time by ``bind(plan)``.
@@ -532,6 +545,7 @@ repro_call(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if ((st = repro_bound(self)) == NULL
             || repro_marshal(st, args, row, cells) < 0)
         return NULL;
+    ++st->calls;
     Py_BEGIN_ALLOW_THREADS
     {run}
     Py_END_ALLOW_THREADS
@@ -577,6 +591,7 @@ repro_call_batch(PyObject *self, PyObject *arg)
                           cells + i * {len(scalars)}) < 0)
             goto done;
     }}
+    st->calls += (unsigned long long)n;
     Py_BEGIN_ALLOW_THREADS
     {fn_name}{BATCH_SUFFIX}(n, argv, out);
     Py_END_ALLOW_THREADS

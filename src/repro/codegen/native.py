@@ -21,7 +21,9 @@ the kernel's shared library is loaded as that extension module:
 * Calling a ``NativeKernel`` calls the glue's ``call`` entry with no
   Python frame between, and :meth:`NativeKernel.call_batch` is its
   ``call_batch`` entry, which packs every argument set into the
-  ``void**`` table of ``<symbol>__batch`` and crosses once.
+  ``void**`` table of ``<symbol>__batch`` and crosses once.  The glue
+  counts both in its module state (``NativeKernel.calls``), and each
+  load of a library is a fresh module with a count of its own.
 
 The exported symbol name is derived automatically from the staged
 function.  A host without ``Python.h`` or NumPy's C headers (shipped
@@ -149,10 +151,12 @@ class NativeKernel:
     ``_module`` is the kernel's extension module.  At construction the
     marshalling plan is built and bound into it; calling the kernel
     then calls the glue's ``call`` entry (``_call``) directly, and
-    :meth:`call_batch` is its ``call_batch`` entry.  ``_fn`` and
-    ``_batch_fn`` are ``ctypes`` handles on the raw kernel and
-    ``__batch`` symbols, bound on first access for measurements that
-    time the bare kernel; no call path uses them.
+    :meth:`call_batch` is its ``call_batch`` entry.  ``calls()`` is the
+    module's count of what those ran: one per call, one per batch
+    entry.  It is this handle's own, since every load is a fresh module
+    (:meth:`relink`).  ``_fn`` and ``_batch_fn`` are ``ctypes`` handles
+    on the raw kernel and ``__batch`` symbols, bound on first access
+    for measurements that time the bare kernel; no call path uses them.
     """
 
     staged: StagedFunction
@@ -164,12 +168,14 @@ class NativeKernel:
     _plan: tuple = field(default=(), repr=False, compare=False)
     _call: Any = field(default=None, repr=False, compare=False)
     _call_batch: Any = field(default=None, repr=False, compare=False)
+    calls: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._plan = marshalling_plan(self.staged)
         self._module.bind(self._plan)
         self._call = self._module.call
         self._call_batch = self._module.call_batch
+        self.calls = self._module.calls
 
     # ``kernel(*args)`` is the glue's ``call(*args)``: no Python frame
     __call__ = property(operator.attrgetter("_call"))
@@ -183,6 +189,17 @@ class NativeKernel:
         straight into the ``void**`` table.
         """
         return self._call_batch(args_seq)
+
+    def relink(self) -> "NativeKernel":
+        """A second handle on this kernel's library: a fresh instance
+        of its module, counting its own calls.  The library is already
+        built, smoke-tested and loaded, so this only runs the module's
+        initialisation."""
+        return NativeKernel(staged=self.staged, c_source=self.c_source,
+                            library_path=self.library_path,
+                            symbol=self.symbol, system=self.system,
+                            _module=_load_module(self.symbol,
+                                                 self.library_path))
 
     @cached_property
     def _fn(self) -> Any:
@@ -381,28 +398,34 @@ def ctype_signature(staged: StagedFunction) -> tuple[list, Any]:
             _ctype_for(staged.result_type))
 
 
-def load_kernel(artifact: NativeArtifact) -> NativeKernel:
-    """Load an artifact's shared library as its extension module.
+def _load_module(symbol: str, so_path: Path) -> Any:
+    """Load ``so_path`` as the extension module ``symbol``.
 
     Loads through the extension loader directly, never the ``import``
     statement, so no import-machinery module lock is taken: the forked
-    smoke child calls this too.  The glue is multi-phase initialised,
-    so each load is a fresh module and relinking one library gives a
-    second working handle.
+    smoke child loads kernels too.  The glue is multi-phase
+    initialised, so each load is a fresh module with its own state.
     """
-    path = str(artifact.so_path)
-    loader = importlib.machinery.ExtensionFileLoader(artifact.symbol, path)
-    spec = importlib.machinery.ModuleSpec(artifact.symbol, loader,
-                                          origin=path)
+    path = str(so_path)
+    loader = importlib.machinery.ExtensionFileLoader(symbol, path)
+    spec = importlib.machinery.ModuleSpec(symbol, loader, origin=path)
     try:
         module = loader.create_module(spec)
         loader.exec_module(module)
     except (ImportError, OSError) as exc:
         raise NativeLinkError(f"cannot link {path}: {exc}") from exc
+    return module
+
+
+def load_kernel(artifact: NativeArtifact) -> NativeKernel:
+    """Load an artifact's shared library as its extension module (see
+    :func:`_load_module`); relinking one library gives a second working
+    handle."""
     return NativeKernel(staged=artifact.staged, c_source=artifact.c_source,
                         library_path=artifact.so_path,
                         symbol=artifact.symbol, system=artifact.system,
-                        _module=module)
+                        _module=_load_module(artifact.symbol,
+                                             artifact.so_path))
 
 
 def call_raw_symbol(artifact: NativeArtifact, args: Sequence[Any]) -> Any:

@@ -722,6 +722,16 @@ class KernelCache:
             while len(self._kernels) > self._maxsize:
                 self._kernels.popitem(last=False)
 
+    def discard(self, kernel: object) -> None:
+        """Drop every entry that holds ``kernel`` (by identity): a
+        managed kernel whose compile demoted or was cancelled, so the
+        same graph staged again compiles instead of being served the
+        simulated handle for good."""
+        with self._lock:
+            for key in [k for k, v in self._kernels.items()
+                        if v is kernel]:
+                del self._kernels[key]
+
     def clear(self) -> None:
         """Drop the in-memory tier (the disk tier is untouched)."""
         with self._lock:

@@ -22,6 +22,7 @@ from repro.codegen.cgen import emit_c_source
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeKernel, NativeLinkError
 from repro.core.batch import execute_batch
+from repro.core.cache import default_cache
 from repro.core.resilience import (
     CompileReport,
     KernelQuarantinedError,
@@ -29,7 +30,7 @@ from repro.core.resilience import (
 )
 from repro.core.tiered import (
     TIER_MODES,
-    NativeDispatch,
+    TierCalls,
     TierEvent,
     default_manager,
     tier_mode,
@@ -59,10 +60,13 @@ class CompiledKernel:
     Calling the kernel calls whatever ``_impl`` holds — the one
     attribute the read path touches, so the tiered hot-swap (see
     :mod:`repro.core.tiered`) is a single atomic store and the call
-    path needs no lock.  A sync native kernel's ``_impl`` is its glue's
-    ``call`` entry, so its call runs no Python frame.  ``cost`` prices
-    the kernel on the Haswell model (in cycles) for given parameter
-    values and stream footprints.
+    path needs no lock.  A native kernel's ``_impl``, sync or tiered
+    after its swap, is its glue's ``call`` entry, so its call runs no
+    Python frame, and its ``call_batch`` hands the whole batch to the
+    glue's ``call_batch``.  ``tier_calls`` counts the calls each tier
+    served, the native ones read from the glue.  ``cost`` prices the
+    kernel on the Haswell model (in cycles) for given parameter values
+    and stream footprints.
     """
 
     staged: StagedFunction
@@ -76,9 +80,7 @@ class CompiledKernel:
     report: CompileReport | None = field(default=None, repr=False)
     trace: list = field(default_factory=list, repr=False)
     tier_events: list = field(default_factory=list, repr=False)
-    tier_calls: dict = field(
-        default_factory=lambda: {"simulated": 0, "native": 0},
-        repr=False)
+    tier_calls: TierCalls = field(default_factory=TierCalls, repr=False)
     _impl: Any = field(default=None, repr=False, compare=False)
     _tier_job: Any = field(default=None, repr=False, compare=False)
 
@@ -86,6 +88,7 @@ class CompiledKernel:
         if self._impl is None:
             if self.backend == BackendKind.NATIVE and \
                     self._native is not None:
+                self.tier_calls.native = self._native.calls
                 self._impl = self._native._call
             else:
                 self._impl = self._sim_call
@@ -98,11 +101,18 @@ class CompiledKernel:
     __call__ = property(operator.attrgetter("_impl"))
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
-        """Execute many argument sets as tier-level batches (the
-        explicit batch API; see :func:`repro.core.batch.execute_batch`
-        for the chunking and hot-swap splitting rules).  Results,
-        array mutations and simulator op accounting are bit-identical
-        to calling the kernel once per entry."""
+        """Execute many argument sets (the explicit batch API).
+
+        On the native tier the sequence goes straight to the glue's
+        ``call_batch``: one crossing, and all-or-nothing, since the
+        glue marshals every entry before it runs any.  Otherwise
+        :func:`repro.core.batch.execute_batch` runs it in chunks, so a
+        hot swap can land between them.  Results, array mutations and
+        simulator op accounting are bit-identical to calling the kernel
+        once per entry."""
+        native = self._native
+        if native is not None and self._impl is native._call:
+            return native._call_batch(args_seq)
         return execute_batch(self, args_seq)
 
     def _sim_call(self, *args: Any) -> Any:
@@ -129,10 +139,11 @@ class CompiledKernel:
         """Atomic hot-swap to the native tier (runs on a manager worker
         thread).  All bookkeeping lands *before* the final ``_impl``
         store — the only attribute the call path reads — so a racing
-        caller observes either the old simulated dispatch or the fully
-        wired native one, never a torn kernel.
+        caller observes either the old simulated dispatch or the glue's
+        ``call`` entry of a fully wired kernel, never a torn one.
         """
         self._native = native
+        self.tier_calls.native = native.calls
         if report is not None:
             self.report = report
         self.fallback_reason = None
@@ -145,14 +156,15 @@ class CompiledKernel:
             "swap", "native",
             detail=(report.cache_source or "")
             if report is not None else "")
-        self._impl = NativeDispatch(self, native._call, native._call_batch)
+        self._impl = native._call
 
     def _demote(self, reason: str | None,
                 report: CompileReport | None = None,
                 trace: list | None = None) -> None:
         """A managed kernel stays on the simulated tier — quarantine,
         ladder exhaustion and link failures demote instead of raising
-        into callers."""
+        into callers (the manager also drops it from the in-memory
+        kernel cache)."""
         self.fallback_reason = reason
         if report is not None:
             self.report = report
@@ -324,7 +336,6 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             staged = stage_function(fn, arg_types, name)
         pipe_span.set("kernel", staged.name)
         if use_cache:
-            from repro.core.cache import default_cache
             cached = default_cache.get_for(staged, requested)
             if cached is not None:
                 pipe_span.set("cache_source", "memory")
@@ -357,8 +368,9 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
         if reason is not None:
             pipe_span.set("reason", reason)
             obs.counter("pipeline.fallbacks")
-        if use_cache:
-            from repro.core.cache import default_cache
+        if use_cache and reason is None:
+            # a fallback is not cached: staged again, the graph tries
+            # the toolchain again (a quarantined one is refused at once)
             default_cache.put_for(staged, requested, kernel)
         if deferred:
             pipe_span.set("tier", mode)

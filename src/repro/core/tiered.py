@@ -11,24 +11,29 @@ native (tier 1) atomically.
 
 * **Atomic swap, lock-free read path.**  Calling a ``CompiledKernel``
   reads exactly one attribute (``_impl``) and calls it.  Promotion
-  publishes a fully wired :class:`NativeDispatch` with a single
-  attribute store — atomic under the GIL — so a concurrent caller sees
-  either the old simulated dispatch or the new native one, never a
-  torn kernel.
+  wires the kernel, then stores the glue's own ``call`` entry in
+  ``_impl`` — one store, atomic under the GIL — so a concurrent caller
+  sees either the old simulated dispatch or the native entry, never a
+  torn kernel, and a tiered native call enters no Python frame.
+* **Counts without a frame.**  :class:`TierCalls` reads a handle's
+  native calls from its glue module, which counts them in C; only the
+  simulated tier bumps a count in Python.
 * **Quarantine-aware demotion.**  A background compile that exhausts
   the ladder, fails its forked smoke-run (quarantine) or cannot link
   never raises into callers: the kernel records the reason and keeps
-  serving simulated results, exactly like the inline ``"auto"`` path.
+  serving simulated results, exactly like the inline ``"auto"`` path,
+  and leaves the in-memory kernel cache, so the same graph staged
+  after a repair compiles.
 * **Single-flight.**  Jobs dedup by structural graph hash through
   :class:`repro.core.cache.InflightCompiles`; N threads warming the
   same kernel cost one ladder walk, and all their handles swap
-  together.  Every promotion is admitted and no admission state is
-  kept: a broken toolchain costs each kernel its retries, the watchdog
-  and ``REPRO_COMPILE_DEADLINE`` before it demotes, and the first
-  kernel staged after a repair compiles.  A kernel demoted during the
-  outage stays simulated in the in-memory kernel cache.  At process
-  exit queued compiles are cancelled and only the running ones are
-  waited out, so a hung compiler holds exit for about one deadline
+  together, each onto a module of its own (:meth:`NativeKernel.relink`)
+  so each counts its own calls.  Every promotion is admitted and no
+  admission state is kept: a broken toolchain costs each kernel its
+  retries, the watchdog and ``REPRO_COMPILE_DEADLINE`` before it
+  demotes, and the first kernel staged after a repair compiles.  At
+  process exit queued compiles are cancelled and only the running ones
+  are waited out, so a hung compiler holds exit for about one deadline
   (DESIGN.md §11).
 
 Environment: ``REPRO_TIER`` (``sync`` | ``async``, default ``sync``)
@@ -44,6 +49,7 @@ import os
 import threading
 import time
 import warnings
+from collections.abc import Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -51,7 +57,12 @@ from typing import Any, Callable, Sequence
 import repro.obs as obs
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeLinkError
-from repro.core.cache import CompileJob, InflightCompiles, graph_hash
+from repro.core.cache import (
+    CompileJob,
+    InflightCompiles,
+    default_cache,
+    graph_hash,
+)
 from repro.core.env import env_int
 from repro.core.resilience import (
     KernelQuarantinedError,
@@ -61,6 +72,7 @@ from repro.core.resilience import (
 
 __all__ = [
     "KernelManager",
+    "TierCalls",
     "TierEvent",
     "TIER_MODES",
     "compile_deadline",
@@ -110,61 +122,68 @@ class TierEvent:
     detail: str = ""
 
 
+class TierCalls(Mapping):
+    """A kernel handle's calls per tier, ``{"simulated": n, "native":
+    n}``, read live.
+
+    ``counts`` holds the simulated count, which :class:`SimulatedDispatch`
+    bumps with one dict increment per call.  The native count is the
+    glue's own (``native``, the linked module's ``calls`` entry), bumped
+    in C with the GIL held, so a native call runs no Python to be
+    counted.  Nothing here refers to the kernel: the metrics registry
+    holds this mapping (``obs.tally``) only until the kernel is
+    collected, and reads it through ``items()`` and ``dict(...)``.
+    """
+
+    __slots__ = ("counts", "native")
+
+    def __init__(self) -> None:
+        self.counts = {"simulated": 0}
+        self.native: Callable[[], int] | None = None
+
+    def __getitem__(self, tier: str) -> int:
+        if tier == "native":
+            native = self.native
+            return 0 if native is None else native()
+        return self.counts[tier]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(("simulated", "native"))
+
+    def __len__(self) -> int:
+        return 2
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 class SimulatedDispatch:
     """The simulated-tier call path of a managed kernel.
 
-    Counts tier-at-call (one int bump of the kernel's ``tier_calls``,
-    read as ``tiered.calls`` by the metrics registry) and runs the
-    simulator.  The hot-swap replaces this object wholesale, so no
-    per-call branching on "am I native yet" is needed.
+    Counts tier-at-call (one int bump of its ``tier_calls``' simulated
+    count, read as ``tiered.calls`` by the metrics registry) and runs
+    the simulator.  The hot-swap replaces this object with the glue's
+    ``call`` entry, so no per-call branching on "am I native yet" is
+    needed.
     """
 
-    __slots__ = ("kernel",)
+    __slots__ = ("kernel", "counts")
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
+        self.counts = kernel.tier_calls.counts
 
     def __call__(self, *args: Any) -> Any:
+        self.counts["simulated"] += 1
         kernel = self.kernel
-        kernel.tier_calls["simulated"] += 1
         return kernel._machine.run(kernel.staged, args)
 
     def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
         """Batch entry point: every entry counts one call, then one
         whole-batch simulator run."""
+        self.counts["simulated"] += len(args_seq)
         kernel = self.kernel
-        kernel.tier_calls["simulated"] += len(args_seq)
         return kernel._machine.run_batch(kernel.staged, args_seq)
-
-
-class NativeDispatch:
-    """The native-tier call path: one int bump of the kernel's
-    ``tier_calls`` (read as ``tiered.calls`` by the metrics registry),
-    then the glue's ``call`` entry itself (``NativeKernel._call``).
-    Its frame is the only Python one on a tiered native call: the tally
-    is per kernel handle, and handles attached to one compile share one
-    module."""
-
-    __slots__ = ("kernel", "_call", "_call_batch")
-
-    def __init__(self, kernel, call: Callable[..., Any],
-                 call_batch: Callable[[Sequence[Sequence[Any]]], list]
-                 ) -> None:
-        self.kernel = kernel
-        self._call = call
-        self._call_batch = call_batch
-
-    def __call__(self, *args: Any) -> Any:
-        self.kernel.tier_calls["native"] += 1
-        return self._call(*args)
-
-    def call_batch(self, args_seq: Sequence[Sequence[Any]]) -> list:
-        """Batch entry point: one packed native call for the whole
-        slice (zero-copy arrays, one scalar pack — see
-        :meth:`NativeKernel.call_batch`)."""
-        n = len(args_seq)
-        self.kernel.tier_calls["native"] += n
-        return self._call_batch(args_seq)
 
 
 class KernelManager:
@@ -269,17 +288,26 @@ class KernelManager:
         trace = obs.get_tracer().spans_for_trace(trace_id) \
             if trace_id is not None else []
         kernels = self._inflight.settle(job.key)
-        for kernel in kernels:
-            if native is not None:
+        for i, kernel in enumerate(kernels):
+            handle, why = native, reason
+            if native is not None and i:
+                # a joined handle gets a module of its own, so each
+                # handle's glue counts only its own calls
+                try:
+                    handle = native.relink()
+                except NativeLinkError as exc:
+                    handle, why = None, str(exc)
+            if handle is not None:
                 with obs.span("swap", kernel=staged.name,
                               graph_hash=job.key):
-                    kernel._swap_to_native(native, report, trace=trace)
+                    kernel._swap_to_native(handle, report, trace=trace)
                 self._bump("swapped")
                 obs.counter("tiered.swaps")
             else:
                 with obs.span("demote", kernel=staged.name,
-                              graph_hash=job.key, reason=reason):
-                    kernel._demote(reason, report, trace=trace)
+                              graph_hash=job.key, reason=why):
+                    kernel._demote(why, report, trace=trace)
+                default_cache.discard(kernel)
                 self._bump("demoted")
                 obs.counter("tiered.demotions")
         job.finish("native" if native is not None
@@ -296,6 +324,7 @@ class KernelManager:
             kernel._record_tier_event(
                 "cancel", "simulated",
                 detail="background compile cancelled")
+            default_cache.discard(kernel)
             self._bump("cancelled")
             obs.counter("tiered.cancelled")
         job.finish("cancelled")

@@ -8,6 +8,8 @@ whole-batch sweep fallbacks and a deterministic mid-batch hot-swap).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,50 @@ class TestExecuteBatchTiers:
         for (a_loop, *_), (a_batch, *_) in zip(loop_entries,
                                                batch_entries):
             assert a_loop.tobytes() == a_batch.tobytes()
+
+    @requires_compiler
+    def test_native_batch_crosses_once_and_is_all_or_nothing(
+            self, fresh_state, monkeypatch):
+        """A native kernel's batch is one call of the glue's
+        ``call_batch``, never cut into ``BATCH_MAX`` chunks, so an entry
+        the glue refuses leaves every entry unrun."""
+        monkeypatch.setattr(batch_mod, "BATCH_MAX", 4)
+        kernel = compile_staged(scalar_saxpy, SAXPY_TYPES,
+                                name="batch_once", backend="native",
+                                tier="sync", use_cache=False)
+        module_batch = kernel._native._call_batch
+        entries = _saxpy_entries(12)
+        want = _clone(entries)
+        for e in want:
+            kernel.run_simulated(*e)
+        before = kernel.tier_calls["native"]
+        entered, c_called = [], []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                entered.append(frame.f_code)
+            elif event == "c_call":
+                c_called.append(arg)
+
+        sys.setprofile(profile)
+        try:
+            kernel.call_batch(entries)
+        finally:
+            sys.setprofile(None)
+        assert batch_mod.execute_batch.__code__ not in entered
+        assert [f for f in c_called if f is module_batch] == [module_batch]
+        assert kernel.tier_calls["native"] == before + 12
+        for (a, *_), (a_want, *_) in zip(entries, want):
+            assert a.tobytes() == a_want.tobytes()
+
+        entries = _saxpy_entries(12)
+        snapshot = [e[0].tobytes() for e in entries]
+        entries[10] = (entries[10][0].astype(np.float64),) + entries[10][1:]
+        with pytest.raises(TypeError, match="must have dtype"):
+            kernel.call_batch(entries)
+        assert [e[0].tobytes() for e in entries[:10]] == snapshot[:10]
+        assert entries[11][0].tobytes() == snapshot[11]
+        assert kernel.tier_calls["native"] == before + 12
 
     def test_simulated_kernel_batch_matches_loop(self, fresh_state):
         loop_k = compile_staged(scalar_saxpy, SAXPY_TYPES,

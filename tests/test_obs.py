@@ -7,11 +7,19 @@ import gc
 import json
 import sys
 import threading
+import weakref
 
+import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core import compile_staged
+from repro.core.cache import default_cache
 from repro.core.env import env_float, env_int
+from repro.core.resilience import clear_session_state
+from repro.lms import forloop
+from repro.lms.ops import array_apply, array_update
+from repro.lms.types import FLOAT, INT32, array_of
 from repro.obs.core import (
     RING_CAPACITY,
     MetricsRegistry,
@@ -22,6 +30,7 @@ from repro.obs.core import (
 )
 from repro.obs.report import build_tree, render_report, report_from_file
 from repro.simd.machine import SimdMachine, classify_mnemonic
+from tests.conftest import requires_compiler
 
 
 @pytest.fixture(autouse=True)
@@ -31,6 +40,33 @@ def fresh_obs(monkeypatch):
     obs.reset()
     yield
     obs.reset()
+
+
+@pytest.fixture
+def native_env(monkeypatch, tmp_path):
+    """A private disk cache and no ambient compiler, tier or fault
+    settings, for tests that build a native kernel."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
+    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND"):
+        monkeypatch.delenv(var, raising=False)
+    default_cache.clear()
+    clear_session_state()
+    yield
+    default_cache.clear()
+    clear_session_state()
+
+
+def _tiered_native_kernel(salt: float):
+    """A managed kernel of its own graph, swapped to native."""
+    def fn(a, n):
+        forloop(0, n, step=1, body=lambda i: array_update(
+            a, i, array_apply(a, i) * 0.5 + salt))
+
+    kernel = compile_staged(fn, [array_of(FLOAT), INT32],
+                            name="tally_k", tier="async",
+                            use_cache=False).wait_native(120)
+    assert kernel.tier == "native"
+    return kernel
 
 
 class TestTracer:
@@ -262,27 +298,20 @@ class TestTallies:
         assert reg.counter_value("tiered.calls", tier="native") == 2
         assert reg._tallies == {}           # folded at that read
 
-    def test_contended_dispatch_counts_every_call(self):
-        """The tiered dispatch's unlocked bump loses no call when many
-        threads share one kernel and the interpreter switches often."""
-        from repro.core.tiered import NativeDispatch
-
-        reg = MetricsRegistry()
-        kernel = self.Owner()
-        kernel.tier_calls = {"simulated": 0, "native": 0}
-        reg.track(kernel, "tiered.calls", "tier", kernel.tier_calls)
-        dispatch = NativeDispatch(kernel, lambda: None, None)
-        n_threads, calls_each = 8, 5000
-
-        def hammer():
+    @staticmethod
+    def _hammer(call, n_threads: int, calls_each: int) -> None:
+        """``call(i)`` ``calls_each`` times in each of ``n_threads``
+        threads, with the interpreter switching threads as often as it
+        can."""
+        def run(i):
             for _ in range(calls_each):
-                dispatch()
+                call(i)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=hammer)
-                       for _ in range(n_threads)]
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(n_threads)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -290,8 +319,63 @@ class TestTallies:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert reg.counter_value("tiered.calls", tier="native") == \
-            n_threads * calls_each
+
+    @requires_compiler
+    def test_contended_dispatch_counts_every_call(self, native_env):
+        """A tiered native kernel's glue loses no call when many threads
+        share it and the interpreter switches often, and the registry
+        reads every one, after ``obs.reset()`` too."""
+        kernel = _tiered_native_kernel(0.5)
+        arrays = [np.ones(4, np.float32) for _ in range(8)]
+        self._hammer(lambda i: kernel(arrays[i], 4), 8, 5000)
+        assert kernel.tier_calls["native"] == 8 * 5000
+        assert obs.get_registry().counter_value(
+            "tiered.calls", tier="native") == 8 * 5000
+        obs.reset()
+        self._hammer(lambda i: kernel(arrays[i], 4), 8, 500)
+        kernel.call_batch([(arrays[0], 4)] * 7)
+        assert kernel.tier_calls["native"] == 8 * 5500 + 7
+        assert obs.get_registry().counter_value(
+            "tiered.calls", tier="native") == 8 * 500 + 7
+
+    def test_contended_simulated_bump_counts_every_call(self):
+        """The simulated tier's count is one dict increment with no
+        Python call between its read and its write, so it loses no
+        call either."""
+        from repro.core.tiered import SimulatedDispatch, TierCalls
+
+        class Machine:
+            @staticmethod
+            def run(staged, args):
+                return None
+
+        kernel = self.Owner()
+        kernel.tier_calls, kernel._machine, kernel.staged = \
+            TierCalls(), Machine(), None
+        reg = MetricsRegistry()
+        reg.track(kernel, "tiered.calls", "tier", kernel.tier_calls)
+        dispatch = SimulatedDispatch(kernel)
+        self._hammer(lambda i: dispatch(), 8, 5000)
+        assert reg.counter_value("tiered.calls", tier="simulated") == \
+            8 * 5000
+        assert reg.counter_value("tiered.calls", tier="native") == 0
+
+    @requires_compiler
+    def test_a_called_managed_kernel_is_collected(self, native_env):
+        """The registry holds a managed kernel's counts, not the
+        kernel: once dropped it is collected, and what it counted is
+        kept."""
+        kernel = _tiered_native_kernel(1.5)
+        a = np.ones(4, np.float32)
+        for _ in range(3):
+            kernel(a, 4)
+        kernel.call_batch([(a, 4)] * 2)
+        ref = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert ref() is None
+        assert obs.get_registry().counter_value(
+            "tiered.calls", tier="native") == 5
 
     def test_module_helper_is_off_when_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS", "0")

@@ -21,7 +21,6 @@ import numpy as np
 from repro.core import compile_staged
 from repro.core.cache import default_cache
 from repro.core.resilience import clear_session_state
-from repro.core.tiered import NativeDispatch
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
@@ -109,7 +108,7 @@ def test_kernel_attributes_the_worker_times_exist(tmp_path, monkeypatch):
         plain = compile_staged(fn, types, name="bind_k")
         sim = compile_staged(fn, types, name="bind_k", backend="simulated")
         assert tiered.tier == "native" and plain.tier == "native"
-        assert type(tiered._impl) is NativeDispatch
+        assert tiered._impl is tiered._native._call
         a = np.ones(8, np.float32)
         tiered._impl(a, 8)
         assert np.all(a == np.float32(2.25))

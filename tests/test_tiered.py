@@ -25,13 +25,19 @@ import numpy as np
 import pytest
 
 import repro.core.tiered as tiered
+import repro.obs as obs
 from repro.codegen.compiler import CompileError, _detect_compilers_cached
 from repro.core import BackendKind, compile_many, compile_staged, wait_all
-from repro.core.cache import default_cache
-from repro.core.resilience import clear_session_state, quarantined_kernels
+from repro.core.cache import default_cache, graph_hash
+from repro.core.resilience import (
+    clear_session_state,
+    quarantine,
+    quarantined_kernels,
+)
 from repro.core.tiered import compile_workers, default_manager, tier_mode
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
+from repro.lms.staging import stage_function
 from repro.lms.types import FLOAT, INT32, array_of
 from tests.conftest import requires_compiler
 
@@ -203,6 +209,25 @@ class TestAsyncTier:
         assert kernel.tier_events == []     # unmanaged
         assert kernel.wait_native() is kernel   # no-op
 
+    def test_sync_kernel_reports_its_calls(self, tiered_state,
+                                           monkeypatch):
+        """A sync native kernel's calls are counted by its glue: one
+        per call, one per batch entry.  Only managed kernels report
+        ``tiered.calls``."""
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        kernel = compile_staged(build_unique(5.25, "sync_count_k"),
+                                [array_of(FLOAT), INT32],
+                                name="sync_count_k", tier="sync")
+        assert kernel.tier == "native"
+        seen = obs.get_registry().counter_value("tiered.calls")
+        a = np.ones(8, np.float32)
+        for _ in range(5):
+            kernel(a, 8)
+        kernel.call_batch([(a, 8)] * 3)
+        assert kernel.tier_calls == {"simulated": 0, "native": 8}
+        assert "(calls: simulated=0 native=8)" in kernel.explain()
+        assert obs.get_registry().counter_value("tiered.calls") == seen
+
     def test_explicit_native_backend_ignores_tiering(
             self, tiered_state, monkeypatch):
         monkeypatch.setenv("REPRO_TIER", "async")
@@ -328,6 +353,47 @@ class TestDemotion:
         kernel(a, 8)
         assert np.array_equal(a, _expected(17.0))
 
+    def test_a_demoted_kernel_leaves_the_memory_cache(
+            self, tiered_state, tmp_path, monkeypatch):
+        """Neither a kernel demoted by a broken toolchain nor a sync
+        fallback is served from the in-memory cache once the toolchain
+        is repaired: the same graph staged again compiles, on either
+        tier."""
+        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setenv("REPRO_CC", f"gcc={tmp_path}/missing-cc")
+        fn, types = build_unique(14.25, "outage_k"), [array_of(FLOAT), INT32]
+        demoted = compile_staged(fn, types, name="outage_k",
+                                 tier="async").wait_native(60)
+        assert demoted.tier_events[-1].action == "demote"
+        fallback = compile_staged(fn, types, name="outage_k", tier="sync")
+        assert fallback.backend == BackendKind.SIMULATED
+        assert len(default_cache) == 0
+        monkeypatch.delenv("REPRO_CC")
+        again = compile_staged(fn, types, name="outage_k",
+                               tier="async").wait_native(60)
+        assert again.tier == "native"
+        synced = compile_staged(fn, types, name="outage_k", tier="sync")
+        assert synced.tier == "native"
+        a = np.ones(8, np.float32)
+        synced(a, 8)
+        assert np.array_equal(a, _expected(14.25))
+
+    def test_a_quarantined_graph_is_refused_at_once(self, tiered_state):
+        """Not caching a fallback costs a quarantined graph nothing: it
+        is refused before any compiler runs, on either tier."""
+        fn, types = build_unique(14.75, "q_again_k"), [array_of(FLOAT), INT32]
+        staged = stage_function(fn, types, "q_again_k")
+        quarantine(graph_hash(staged), "crashed: signal 11")
+        for _ in range(2):
+            synced = compile_staged(fn, types, name="q_again_k",
+                                    tier="sync")
+            managed = compile_staged(fn, types, name="q_again_k",
+                                     tier="async").wait_native(60)
+            for kernel in (synced, managed):
+                assert kernel.backend == BackendKind.SIMULATED
+                assert kernel.fallback_reason.startswith("quarantined")
+                assert kernel.report.compiler_invocations == 0
+
     def test_no_compiler_on_path_demotes_without_an_attempt(
             self, tiered_state, tmp_path, monkeypatch):
         """With no compiler to find, a background compile demotes its
@@ -441,6 +507,7 @@ class TestConcurrency:
 
     def test_same_graph_hash_is_single_flight(
             self, tiered_state, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
         count_file = tmp_path / "cc-count"
         monkeypatch.setenv(
             "REPRO_CC",
@@ -476,8 +543,24 @@ class TestConcurrency:
         assert stats["attached"] == 1
         assert stats["swapped"] == 2
         assert int(count_file.read_text().strip()) == 1
-        # and the linked NativeKernel is literally shared
-        assert kernels[0]._native is kernels[1]._native
+        # one library, loaded as a module per handle: each handle's
+        # glue counts its own calls
+        assert kernels[0]._native.library_path == \
+            kernels[1]._native.library_path
+        before = [k.tier_calls["native"] for k in kernels]
+        seen = obs.get_registry().counter_value("tiered.calls",
+                                                tier="native")
+        a = np.ones(8, np.float32)
+        for _ in range(3):
+            kernels[0](a, 8)
+        kernels[0].call_batch([(a, 8)] * 2)
+        assert [k.tier_calls["native"] for k in kernels] == \
+            [before[0] + 5, before[1]]
+        kernels[1](a, 8)
+        assert [k.tier_calls["native"] for k in kernels] == \
+            [before[0] + 5, before[1] + 1]
+        assert obs.get_registry().counter_value(
+            "tiered.calls", tier="native") == seen + 6
 
 
 @requires_compiler
@@ -552,6 +635,12 @@ class TestClearSessionState:
         a = np.ones(8, np.float32)
         k2(a, 8)
         assert np.array_equal(a, _expected(41.5))
+        # a cancelled handle leaves the memory cache: staged again, its
+        # graph compiles
+        again = compile_staged(build_unique(41.5, "drain2"), types,
+                               name="drain2", tier="async")
+        assert again is not k2
+        assert again.wait_native(60).tier == "native"
         # the manager comes back to life after a reset
         k3 = compile_staged(build_unique(42.5, "drain3"), types,
                             name="drain3", tier="async").wait_native(60)
