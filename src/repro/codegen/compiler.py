@@ -19,13 +19,12 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 import repro.obs as obs
 from repro.core import faults
-from repro.core.env import env_float, env_int
 from repro.core.procutil import kill_process_group
 
 # Map CPU feature flags (as /proc/cpuinfo spells them) to ISA names.
@@ -214,11 +213,12 @@ class PermanentCompileError(CompileError):
 
 
 class CompileDeadlineError(TransientCompileError):
-    """The per-kernel wall-clock deadline (``REPRO_COMPILE_DEADLINE``)
-    expired before the ladder produced an artifact.  Transient — the
-    kernel stays on the simulator and may be re-promoted later — but
-    the ladder stops walking immediately instead of burning rungs
-    against a clock that has already run out."""
+    """The per-kernel wall-clock deadline
+    (:data:`repro.core.resilience.COMPILE_DEADLINE_S`) expired before
+    the ladder produced an artifact.  Transient — the kernel stays on
+    the simulator and may be re-promoted later — but the ladder stops
+    walking immediately instead of burning rungs against a clock that
+    has already run out."""
 
 
 # stderr signatures of failures worth retrying verbatim.
@@ -228,9 +228,9 @@ _TRANSIENT_RE = re.compile(
     r"|interrupted system call|input/output error",
 )
 
-
-def _compile_timeout() -> float:
-    return env_float("REPRO_COMPILE_TIMEOUT", 120.0, minimum=0.01)
+#: Seconds before one compiler invocation is killed and counted as a
+#: transient failure.  Read at call time, so tests may patch it.
+COMPILE_TIMEOUT_S = 120.0
 
 
 def _run_with_watchdog(cmd: Sequence[str], timeout: float,
@@ -310,7 +310,7 @@ def compile_shared_library(source: str, workdir: Path,
            *(f"-I{include}" for include, _ in glue_headers()),
            str(c_path), "-o", str(so_path)]
     if timeout is None:
-        timeout = _compile_timeout()
+        timeout = COMPILE_TIMEOUT_S
     if deadline is not None:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -350,31 +350,12 @@ def compiler_chain(system: SystemInfo | None = None
     return tuple(ordered)
 
 
-def flag_ladder(cc: CompilerInfo, isas: frozenset[str],
-                required: frozenset[str] | None = None
-                ) -> Iterator[tuple[str, list[str]]]:
-    """Yield ``(rung, flags)`` pairs, most aggressive first.
-
-    Rungs: full flags at ``-O3``; the same at ``-O2``; then ``-O2``
-    with the per-ISA ``-m*`` flags pruned to the ISAs the kernel
-    actually needs (``required``).  Identical consecutive rungs are
-    deduplicated, so when ``isas == required`` the ladder has two rungs.
-    """
+def flag_ladder(cc: CompilerInfo, isas: frozenset[str]
+                ) -> list[tuple[str, list[str]]]:
+    """The ``(rung, flags)`` pairs, most aggressive first: the full
+    flags at ``-O3``, then the same at ``-O2``."""
     base = cc.flags_for(isas)
-    o2 = ["-O2" if f == "-O3" else f for f in base]
-    rungs: list[tuple[str, list[str]]] = [("O3", base), ("O2", o2)]
-    if required is not None:
-        isa_flags = set(_ISA_TO_FLAG.values())
-        keep = {_ISA_TO_FLAG[i] for i in required if i in _ISA_TO_FLAG}
-        minimal = [f for f in o2 if f not in isa_flags or f in keep]
-        rungs.append(("O2-minimal-isa", minimal))
-    seen: set[tuple[str, ...]] = set()
-    for rung, fl in rungs:
-        key = tuple(fl)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield rung, fl
+    return [("O3", base), ("O2", ["-O2" if f == "-O3" else f for f in base])]
 
 
 @dataclass
@@ -398,19 +379,20 @@ class CompileAttempt:
         }
 
 
-def _max_retries() -> int:
-    return env_int("REPRO_COMPILE_RETRIES", 2, minimum=0)
+#: Retries of one ladder rung after a transient failure.  Read at call
+#: time, so tests may patch it.
+COMPILE_RETRIES = 2
+# Backoff between those retries: doubling from the base, capped.
+_RETRY_BASE_S = 0.05
+_RETRY_CAP_S = 1.0
 
 
 def compile_with_fallback(source: str, workdir: Path,
                           isas: frozenset[str],
-                          required: frozenset[str] | None = None,
                           compilers: Sequence[CompilerInfo] | None = None,
                           name: str = "kernel",
                           attempts: list[CompileAttempt] | None = None,
                           max_retries: int | None = None,
-                          retry_base: float = 0.05,
-                          retry_cap: float = 1.0,
                           sleep: Callable[[float], None] = time.sleep,
                           deadline: float | None = None,
                           ) -> tuple[Path, CompilerInfo, tuple[str, ...]]:
@@ -418,7 +400,7 @@ def compile_with_fallback(source: str, workdir: Path,
 
     For each compiler in the icc→gcc→clang chain, walk the flag ladder;
     transient failures are retried up to ``max_retries`` times (default
-    ``REPRO_COMPILE_RETRIES``, 2) with bounded exponential backoff,
+    :data:`COMPILE_RETRIES`) with bounded exponential backoff,
     permanent ones drop straight to the next rung.  Every invocation is
     appended to ``attempts``.  ``deadline`` (absolute
     ``time.monotonic()``) bounds the whole walk: once it expires the
@@ -426,17 +408,18 @@ def compile_with_fallback(source: str, workdir: Path,
     another rung, and backoff sleeps are capped to the time remaining.
     Returns ``(so_path, compiler, flags)`` of the first success or
     raises :class:`PermanentCompileError` once the whole ladder is
-    exhausted.  The order is fixed (O3→O2→minimal-ISA within each
-    compiler), so the first rung that links costs exactly one attempt.
+    exhausted.  The order is fixed (O3→O2 within each compiler), so
+    the first rung that links costs exactly one attempt.
     """
     ccs = list(compilers) if compilers is not None \
         else list(compiler_chain())
     if not ccs:
         raise PermanentCompileError("no C compiler found on this system")
-    retries = _max_retries() if max_retries is None else max(0, max_retries)
+    retries = COMPILE_RETRIES if max_retries is None \
+        else max(0, max_retries)
 
     rungs = [(cc, rung, fl) for cc in ccs
-             for rung, fl in flag_ladder(cc, isas, required)]
+             for rung, fl in flag_ladder(cc, isas)]
     last: CompileError | None = None
     for cc, rung, fl in rungs:
         for try_no in range(retries + 1):
@@ -482,7 +465,7 @@ def compile_with_fallback(source: str, workdir: Path,
                 return so, cc, tuple(fl)
             if outcome == "transient" and try_no < retries:
                 obs.counter("compile.retries")
-                pause = min(retry_cap, retry_base * (2 ** try_no))
+                pause = min(_RETRY_CAP_S, _RETRY_BASE_S * (2 ** try_no))
                 if deadline is not None:
                     pause = min(pause,
                                 max(0.0, deadline - time.monotonic()))

@@ -382,7 +382,7 @@ def build_native(staged: StagedFunction,
         _session_workdir(staged.name)
     with obs.span("compile", kernel=staged.name) as compile_span:
         so_path, cc, flags = compile_with_fallback(
-            source, wd, isas, required=isas, compilers=ccs,
+            source, wd, isas, compilers=ccs,
             name=staged.name, attempts=attempts, max_retries=max_retries,
             deadline=deadline)
         compile_span.set("compiler", cc.name)

@@ -9,10 +9,11 @@ extension over a packed ``void**`` table, all-or-nothing.  Otherwise
 :func:`execute_batch` runs it in chunks, re-reading the kernel's
 single-attribute tiered dispatch per chunk, so a concurrent hot-swap
 splits the batch on a chunk boundary (every chunk runs atomically on
-exactly one tier).  Simulated chunks go through
-:meth:`SimdMachine.run_batch` (one whole-batch numpy sweep when the
-entries share a control-flow path); chunks after a swap go to the
-glue's ``call_batch``.
+exactly one tier).  Simulated chunks go to the kernel's
+:class:`~repro.core.tiered.SimulatedDispatch`, which counts every entry
+and runs :meth:`SimdMachine.run_batch` (one whole-batch numpy sweep
+when the entries share a control-flow path); chunks after a swap go to
+the glue's ``call_batch``.
 
 Batching is explicit and bit-transparent: results, mutated arrays and
 simulator op accounting match the equivalent call-by-call loop
@@ -45,7 +46,8 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
     atomic: a batch in flight when the swap lands finishes its current
     chunk on the old tier and runs the rest on the new one.  A native
     ``_impl`` is the glue's ``call`` entry, whose batch entry is the
-    same module's ``call_batch``.
+    same module's ``call_batch``; every other ``_impl`` has a
+    ``call_batch`` of its own.
     """
     entries = [tuple(args) for args in args_seq]
     if not entries:
@@ -56,18 +58,9 @@ def execute_batch(kernel, args_seq: Sequence[Sequence[Any]]) -> list:
         chunk = entries[i:i + limit]
         impl = kernel._impl
         native = kernel._native
-        if native is not None and impl is native._call:
-            runner = native._call_batch
-        else:
-            runner = getattr(impl, "call_batch", None)
+        runner = native._call_batch \
+            if native is not None and impl is native._call \
+            else impl.call_batch
         obs.observe("batch.size", float(len(chunk)))
-        if runner is not None:
-            results.extend(runner(chunk))
-        elif impl == getattr(kernel, "_sim_call", None):
-            # Unmanaged simulated kernel: the dispatch is a bound
-            # method, but the machine still sweeps whole batches.
-            results.extend(
-                kernel._machine.run_batch(kernel.staged, chunk))
-        else:
-            results.extend(impl(*args) for args in chunk)
+        results.extend(runner(chunk))
     return results

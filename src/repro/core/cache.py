@@ -31,7 +31,6 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 
 import repro.obs as obs
 from repro.core import faults
-from repro.core.env import env_float, env_int
 from repro.core.procutil import pid_alive
 from repro.lms.defs import Block, Stm
 from repro.lms.expr import Const, Exp, Sym
@@ -173,6 +172,16 @@ class _ShardLock:
             self.fd = -1
 
 
+#: LRU bounds of the cache tiers: kernel handles and compiled simulator
+#: programs in process, artifacts on disk.
+KERNEL_CACHE_ENTRIES = 256
+PROGRAM_CACHE_ENTRIES = 256
+DISK_CACHE_ENTRIES = 128
+#: Seconds a disk-store operation waits for its shard lock before it
+#: breaks a dead owner's lock or gives up.
+SHARD_LOCK_TIMEOUT_S = 10.0
+
+
 class DiskKernelCache:
     """The persistent tier: compiled ``.so`` artifacts on disk,
     crash-consistent and safe under concurrent *processes*.
@@ -208,16 +217,17 @@ class DiskKernelCache:
 
     **Stale-lock breaking.**  ``flock`` locks die with their holder, so
     a killed publisher never wedges the shard.  If acquisition still
-    times out (``REPRO_CACHE_LOCK_TIMEOUT``), the pid stamped into the
+    times out (:data:`SHARD_LOCK_TIMEOUT_S`), the pid stamped into the
     lock file is probed; a dead owner's lock file is broken (unlinked)
     and acquisition retried once, after which :class:`CacheLockTimeout`
     is raised.
 
     **Lock-held LRU eviction.**  The entry count is bounded across all
-    shards, least recently used first.  ``get`` touches both halves of
-    the entry it serves, so a manifest's mtime is its last read (or its
-    publish, if it was never read), and eviction drops the oldest
-    manifests shard-by-shard under each shard's lock.
+    shards (:data:`DISK_CACHE_ENTRIES`), least recently used first.
+    ``get`` touches both halves of the entry it serves, so a manifest's
+    mtime is its last read (or its publish, if it was never read), and
+    eviction drops the oldest manifests shard-by-shard under each
+    shard's lock.
 
     **One build per kernel.**  :meth:`build_lock` serializes the
     compile of one kernel across processes, so processes missing the
@@ -230,9 +240,9 @@ class DiskKernelCache:
         self.root = Path(root).expanduser() if root is not None \
             else cache_root()
         self.max_entries = max_entries if max_entries is not None \
-            else env_int("REPRO_CACHE_DISK_ENTRIES", 128, minimum=1)
+            else DISK_CACHE_ENTRIES
         self.lock_timeout = lock_timeout if lock_timeout is not None \
-            else env_float("REPRO_CACHE_LOCK_TIMEOUT", 10.0, minimum=0.01)
+            else SHARD_LOCK_TIMEOUT_S
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
@@ -665,12 +675,6 @@ class DiskKernelCache:
     def __len__(self) -> int:
         # shard census: only two-character shard directories hold entries
         return self._count_manifests()
-
-
-#: LRU bounds of the in-process tiers: kernel handles and compiled
-#: simulator programs.
-KERNEL_CACHE_ENTRIES = 256
-PROGRAM_CACHE_ENTRIES = 256
 
 
 class KernelCache:

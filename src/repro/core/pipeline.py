@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -30,6 +29,7 @@ from repro.core.resilience import (
 )
 from repro.core.tiered import (
     TIER_MODES,
+    SimulatedDispatch,
     TierCalls,
     TierEvent,
     default_manager,
@@ -63,10 +63,11 @@ class CompiledKernel:
     path needs no lock.  A native kernel's ``_impl``, sync or tiered
     after its swap, is its glue's ``call`` entry, so its call runs no
     Python frame, and its ``call_batch`` hands the whole batch to the
-    glue's ``call_batch``.  ``tier_calls`` counts the calls each tier
-    served, the native ones read from the glue.  ``cost`` prices the
-    kernel on the Haswell model (in cycles) for given parameter values
-    and stream footprints.
+    glue's ``call_batch``.  A simulated kernel's ``_impl`` is a
+    :class:`~repro.core.tiered.SimulatedDispatch`.  ``tier_calls``
+    counts the calls each tier served, the native ones read from the
+    glue.  ``cost`` prices the kernel on the Haswell model (in cycles)
+    for given parameter values and stream footprints.
     """
 
     staged: StagedFunction
@@ -91,7 +92,7 @@ class CompiledKernel:
                 self.tier_calls.native = self._native.calls
                 self._impl = self._native._call
             else:
-                self._impl = self._sim_call
+                self._impl = SimulatedDispatch(self)
 
     @property
     def name(self) -> str:
@@ -114,9 +115,6 @@ class CompiledKernel:
         if native is not None and self._impl is native._call:
             return native._call_batch(args_seq)
         return execute_batch(self, args_seq)
-
-    def _sim_call(self, *args: Any) -> Any:
-        return self._machine.run(self.staged, args)
 
     # -- tiered execution (see repro.core.tiered) ----------------------
 
@@ -311,8 +309,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
                    tier: str | None = None) -> CompiledKernel:
     """Stage ``fn`` and link it (Figure 3's runtime path).
 
-    ``backend`` is ``"auto"`` (default), ``"native"`` or ``"simulated"``;
-    the ``REPRO_BACKEND`` environment variable overrides the default.
+    ``backend`` is ``"auto"`` (default), ``"native"`` or ``"simulated"``.
     ``tier`` is ``"sync"`` (compile natively inline) or ``"async"``
     (serve from the simulator now, compile in the background and
     hot-swap); it defaults to ``REPRO_TIER`` and only applies to the
@@ -322,7 +319,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
     native compilation (the mitigation for the paper's Section 3.5
     code-generation overhead).
     """
-    requested = backend or os.environ.get("REPRO_BACKEND", "auto")
+    requested = backend or "auto"
     if requested not in ("auto", "native", "simulated"):
         raise ValueError(f"unknown backend {requested!r}")
     if tier is not None and tier not in TIER_MODES:

@@ -69,19 +69,18 @@ from repro.codegen.native import (
 )
 from repro.core import faults
 from repro.core.cache import DiskKernelCache, default_cache, graph_hash
-from repro.core.env import env_float
 from repro.lms.staging import StagedFunction
 from repro.lms.types import ArrayType, ScalarType
 from repro.simd.machine import SimdMachine
 
 __all__ = [
+    "COMPILE_DEADLINE_S",
     "CompileReport",
     "KernelQuarantinedError",
     "PermanentCompileError",
     "TransientCompileError",
     "acquire_native",
     "clear_session_state",
-    "compile_deadline",
     "quarantined_kernels",
 ]
 
@@ -258,12 +257,11 @@ class SmokeVerdict:
         return self.status in ("crashed", "mismatch", "timeout")
 
 
+#: Seconds before a smoke-run child is killed and its kernel
+#: quarantined.  Read at call time, so tests may patch it.
+SMOKE_TIMEOUT_S = 30.0
 #: How often the smoke run's blocking wait rechecks ``waitpid``.
 _SMOKE_POLL_S = 0.005
-
-
-def _smoke_timeout() -> float:
-    return env_float("REPRO_SMOKE_TIMEOUT", 30.0, minimum=0.01)
 
 
 def _child_smoke(artifact: NativeArtifact, shadow: list[Any],
@@ -341,7 +339,7 @@ def smoke_test_artifact(artifact: NativeArtifact,
     expected_args = _copy_args(shadow)
     expected_ret = machine.run(artifact.staged, expected_args)
     if timeout is None:
-        timeout = _smoke_timeout()
+        timeout = SMOKE_TIMEOUT_S
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -417,15 +415,13 @@ def smoke_test_artifact(artifact: NativeArtifact,
 # ---------------------------------------------------------------------------
 # The acquisition path: disk cache → ladder compile → smoke → link.
 
-def compile_deadline() -> float | None:
-    """Per-kernel wall-clock budget for one compile
-    (``REPRO_COMPILE_DEADLINE``, default 300 s; ``0`` disables).  The
-    tiered manager converts it to an absolute deadline threaded down the
-    whole ladder walk, so a hung compiler can never wedge a worker slot
-    longer than this; a compile without a deadline of its own waits at
-    most this long on another process's build of the same kernel."""
-    value = env_float("REPRO_COMPILE_DEADLINE", 300.0, minimum=0.0)
-    return None if value <= 0 else value
+#: Per-kernel wall-clock budget of one compile, in seconds.  The tiered
+#: manager turns it into an absolute deadline threaded down the whole
+#: ladder walk, so a hung compiler never wedges a worker slot longer
+#: than this; a compile without a deadline of its own waits at most
+#: this long on another process's build of the same kernel.  Read at
+#: call time, so tests may patch it.
+COMPILE_DEADLINE_S = 300.0
 
 
 def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
@@ -534,9 +530,9 @@ def acquire_native(staged: StagedFunction, *,
     smoke-run and only then loading its extension module into this
     process.  ``deadline`` (absolute ``time.monotonic()``) bounds the
     compile ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`
-    — and the wait for the build lock; without one the wait is bounded
-    by :func:`compile_deadline`.  A waiter past its bound, or a store
-    whose lock file cannot be taken, compiles unlocked.
+    — and the wait for the build lock; without one only the wait is
+    bounded, by :data:`COMPILE_DEADLINE_S` from now.  A waiter past its
+    bound, or a store whose lock file cannot be taken, compiles unlocked.
     Raises :class:`KernelQuarantinedError`,
     :class:`PermanentCompileError` / :class:`TransientCompileError`
     (both :class:`CompileError`) or :class:`NativeLinkError`; each
@@ -574,15 +570,11 @@ def acquire_native(staged: StagedFunction, *,
         rungs = [(cc, flags, DiskKernelCache.artifact_key(
                      digest, cc.version, flags, isas))
                  for cc in ccs
-                 for _rung, flags in flag_ladder(cc, isas, required=isas)]
+                 for _rung, flags in flag_ladder(cc, isas)]
         artifact = _disk_lookup(disk, staged, rungs, isas, system, report)
         if artifact is None:
-            if deadline is not None:
-                wait_until = deadline
-            else:
-                budget = compile_deadline()
-                wait_until = None if budget is None \
-                    else time.monotonic() + budget
+            wait_until = deadline if deadline is not None \
+                else time.monotonic() + COMPILE_DEADLINE_S
             with disk.build_lock(rungs[0][2], wait_until) as held:
                 if held:
                     artifact = _disk_lookup(disk, staged, rungs, isas,

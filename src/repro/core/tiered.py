@@ -30,7 +30,8 @@ native (tier 1) atomically.
   together, each onto a module of its own (:meth:`NativeKernel.relink`)
   so each counts its own calls.  Every promotion is admitted and no
   admission state is kept: a broken toolchain costs each kernel its
-  retries, the watchdog and ``REPRO_COMPILE_DEADLINE`` before it
+  retries, the watchdog and the compile deadline
+  (:data:`repro.core.resilience.COMPILE_DEADLINE_S`, 300 s) before it
   demotes, and the first kernel staged after a repair compiles.  At
   process exit queued compiles are cancelled and only the running ones
   are waited out, so a hung compiler holds exit for about one deadline
@@ -57,25 +58,21 @@ from typing import Any, Callable, Sequence
 import repro.obs as obs
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeLinkError
+from repro.core import resilience
 from repro.core.cache import (
     CompileJob,
     InflightCompiles,
     default_cache,
     graph_hash,
 )
-from repro.core.env import env_int
-from repro.core.resilience import (
-    KernelQuarantinedError,
-    acquire_native,
-    compile_deadline,
-)
+# bound by name, so a wrapper patched in here sees every background compile
+from repro.core.resilience import KernelQuarantinedError, acquire_native
 
 __all__ = [
     "KernelManager",
     "TierCalls",
     "TierEvent",
     "TIER_MODES",
-    "compile_deadline",
     "compile_many",
     "compile_workers",
     "default_manager",
@@ -105,9 +102,19 @@ def tier_mode() -> str:
 
 def compile_workers() -> int:
     """Background compile pool width (``REPRO_COMPILE_WORKERS``,
-    default ``min(4, cpus)``)."""
-    return env_int("REPRO_COMPILE_WORKERS",
-                   min(4, os.cpu_count() or 1), minimum=1)
+    default ``min(4, cpus)``, at least 1); a malformed value warns and
+    yields the default."""
+    default = min(4, os.cpu_count() or 1)
+    raw = os.environ.get("REPRO_COMPILE_WORKERS")
+    if raw is None or not raw.strip():
+        return default
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        warnings.warn(
+            f"ignoring malformed REPRO_COMPILE_WORKERS={raw!r}; "
+            f"using default {default}", RuntimeWarning, stacklevel=2)
+        return default
 
 
 @dataclass
@@ -158,13 +165,13 @@ class TierCalls(Mapping):
 
 
 class SimulatedDispatch:
-    """The simulated-tier call path of a managed kernel.
+    """The call path of every simulated kernel.
 
     Counts tier-at-call (one int bump of its ``tier_calls``' simulated
-    count, read as ``tiered.calls`` by the metrics registry) and runs
-    the simulator.  The hot-swap replaces this object with the glue's
-    ``call`` entry, so no per-call branching on "am I native yet" is
-    needed.
+    count, read as ``tiered.calls`` by the metrics registry once the
+    kernel is managed) and runs the simulator.  The hot-swap of a
+    managed kernel replaces this object with the glue's ``call`` entry,
+    so no per-call branching on "am I native yet" is needed.
     """
 
     __slots__ = ("kernel", "counts")
@@ -191,11 +198,10 @@ class KernelManager:
 
     One process-wide instance (:data:`default_manager`) owns a lazy
     :class:`ThreadPoolExecutor` of :func:`compile_workers` threads and
-    the single-flight job table.  ``manage`` installs the tiered call
-    path on a fresh simulated kernel and enqueues (or joins) its
-    background compile; the worker swaps or demotes every handle
-    attached to the job when :func:`repro.core.resilience.acquire_native`
-    settles.
+    the single-flight job table.  ``manage`` registers a fresh simulated
+    kernel's call tally and enqueues (or joins) its background compile;
+    the worker swaps or demotes every handle attached to the job when
+    :func:`repro.core.resilience.acquire_native` settles.
     """
 
     def __init__(self) -> None:
@@ -235,11 +241,10 @@ class KernelManager:
             return self._pool
 
     def manage(self, kernel) -> None:
-        """Install the tiered call path on a fresh simulated-tier
-        kernel and enqueue its background compile, or attach it to the
-        in-flight compile of the same graph hash (single-flight)."""
+        """Enqueue a fresh simulated-tier kernel's background compile,
+        or attach it to the in-flight compile of the same graph hash
+        (single-flight)."""
         kernel._record_tier_event("start", "simulated")
-        kernel._impl = SimulatedDispatch(kernel)
         obs.counter("tiered.managed")
         obs.tally(kernel, "tiered.calls", "tier", kernel.tier_calls)
         job, owner = self._inflight.join_or_open(
@@ -266,8 +271,7 @@ class KernelManager:
         start = time.perf_counter()
         native = report = None
         reason: str | None = None
-        budget = compile_deadline()
-        deadline = None if budget is None else time.monotonic() + budget
+        deadline = time.monotonic() + resilience.COMPILE_DEADLINE_S
         with obs.span("tiered.compile", kernel=staged.name,
                       graph_hash=job.key) as compile_span:
             trace_id = obs.get_tracer().current_trace_id()

@@ -1,6 +1,6 @@
-"""``REPRO_BACKEND`` handling in ``compile_staged``: valid values, the
-explicit-argument override, unknown-value behaviour, and the
-interaction with ``fallback_reason`` when native acquisition fails."""
+"""The ``backend=`` argument of ``compile_staged``: valid values, the
+``auto`` default, unknown-value behaviour, and the interaction with
+``fallback_reason`` when native acquisition fails."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.codegen.compiler as compiler
 from repro.codegen.compiler import CompileError
 from repro.core import BackendKind, compile_staged
 from repro.core.cache import default_cache
@@ -24,7 +25,6 @@ from tests.conftest import requires_compiler
 def clean_state(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.delenv("REPRO_CC", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     default_cache.clear()
     clear_session_state()
     yield
@@ -53,10 +53,10 @@ def _broken_cc(tmp_path: Path) -> Path:
 
 
 class TestRequestedValues:
-    def test_simulated_env_var(self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "simulated")
+    def test_simulated_argument(self, clean_state):
         kernel = compile_staged(_make_fn(0.5), [array_of(FLOAT), INT32],
-                                name="env_simulated", use_cache=False)
+                                name="arg_simulated", backend="simulated",
+                                use_cache=False)
         assert kernel.backend == BackendKind.SIMULATED
         assert kernel.fallback_reason is None
         assert kernel.report is None
@@ -64,29 +64,11 @@ class TestRequestedValues:
         kernel(a, 8)
         np.testing.assert_allclose(a, np.full(8, 2.5, dtype=np.float32))
 
-    def test_unknown_env_value_raises(self, clean_state, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "gpu")
-        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
-            compile_staged(_make_fn(1.0), [array_of(FLOAT), INT32],
-                           name="env_bogus", use_cache=False)
-
     def test_unknown_argument_raises(self, clean_state):
         with pytest.raises(ValueError, match="unknown backend"):
             compile_staged(_make_fn(1.0), [array_of(FLOAT), INT32],
                            name="arg_bogus", backend="turbo",
                            use_cache=False)
-
-    def test_argument_overrides_env(self, clean_state, monkeypatch,
-                                    tmp_path):
-        # env says native-with-a-broken-compiler; the explicit argument
-        # must win and never touch the compiler at all
-        monkeypatch.setenv("REPRO_BACKEND", "native")
-        monkeypatch.setenv("REPRO_CC", f"gcc={_broken_cc(tmp_path)}")
-        kernel = compile_staged(_make_fn(2.0), [array_of(FLOAT), INT32],
-                                name="arg_wins", backend="simulated",
-                                use_cache=False)
-        assert kernel.backend == BackendKind.SIMULATED
-        assert kernel.fallback_reason is None
 
     @requires_compiler
     def test_default_is_auto(self, clean_state):
@@ -95,15 +77,24 @@ class TestRequestedValues:
         assert kernel.backend == BackendKind.NATIVE
         assert kernel.fallback_reason is None
 
+    @requires_compiler
+    def test_no_argument_is_the_auto_entry(self, clean_state):
+        fn = _make_fn(8.0)
+        types = [array_of(FLOAT), INT32]
+        default = compile_staged(fn, types, name="unnamed", tier="sync")
+        assert default.backend == BackendKind.NATIVE
+        assert compile_staged(fn, types, name="unnamed", backend="auto",
+                              tier="sync") is default
+
 
 class TestFallbackInteraction:
     def test_auto_degrades_with_reason(self, clean_state, monkeypatch,
                                        tmp_path):
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
         monkeypatch.setenv("REPRO_CC", f"gcc={_broken_cc(tmp_path)}")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr(compiler, "COMPILE_RETRIES", 0)
         kernel = compile_staged(_make_fn(4.0), [array_of(FLOAT), INT32],
-                                name="auto_degrades", use_cache=False)
+                                name="auto_degrades", backend="auto",
+                                use_cache=False)
         assert kernel.backend == BackendKind.SIMULATED
         assert kernel.fallback_reason is not None
         assert "ladder exhausted" in kernel.fallback_reason
@@ -119,12 +110,12 @@ class TestFallbackInteraction:
 
     def test_native_propagates_failure(self, clean_state, monkeypatch,
                                        tmp_path):
-        monkeypatch.setenv("REPRO_BACKEND", "native")
         monkeypatch.setenv("REPRO_CC", f"gcc={_broken_cc(tmp_path)}")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr(compiler, "COMPILE_RETRIES", 0)
         with pytest.raises(CompileError):
             compile_staged(_make_fn(5.0), [array_of(FLOAT), INT32],
-                           name="native_fails", use_cache=False)
+                           name="native_fails", backend="native",
+                           use_cache=False)
 
     def test_simulated_never_compiles(self, clean_state, monkeypatch,
                                       tmp_path):
@@ -136,14 +127,12 @@ class TestFallbackInteraction:
         assert kernel.backend == BackendKind.SIMULATED
         assert kernel.report is None
 
-    def test_cache_keyed_by_requested_backend(self, clean_state,
-                                              monkeypatch):
+    def test_cache_keyed_by_requested_backend(self, clean_state):
         fn = _make_fn(7.0)
         types = [array_of(FLOAT), INT32]
         sim = compile_staged(fn, types, name="keyed", backend="simulated")
         sim2 = compile_staged(fn, types, name="keyed",
                               backend="simulated")
         assert sim2 is sim
-        monkeypatch.setenv("REPRO_BACKEND", "auto")
-        auto = compile_staged(fn, types, name="keyed")
+        auto = compile_staged(fn, types, name="keyed", backend="auto")
         assert auto is not sim      # different requested key, new entry

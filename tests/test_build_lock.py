@@ -34,6 +34,7 @@ import repro.obs as obs
 from repro.codegen.compiler import (
     CompileDeadlineError,
     CompileError,
+    CompilerInfo,
     compiler_chain,
     flag_ladder,
     glue_headers,
@@ -45,6 +46,7 @@ from repro.codegen.native import (
     export_source,
     required_isas,
 )
+from repro.core import compile_staged
 from repro.core.cache import DiskKernelCache, graph_hash
 from repro.core.resilience import acquire_native, clear_session_state
 from repro.lms import forloop, stage_function
@@ -317,14 +319,18 @@ class TestBuildLock:
         assert not path.exists()
 
 
-def _staged(salt: float, name: str):
-    """A unique-by-salt scalar-loop kernel (compiles on any host)."""
+def _kernel_fn(salt: float):
+    """A unique-by-salt scalar loop (compiles on any host)."""
 
     def fn(a, n):
         forloop(0, n, step=1, body=lambda i: array_update(
             a, i, array_apply(a, i) * 2.0 + salt))
 
-    return stage_function(fn, [array_of(FLOAT), INT32], name)
+    return fn
+
+
+def _staged(salt: float, name: str):
+    return stage_function(_kernel_fn(salt), [array_of(FLOAT), INT32], name)
 
 
 def _vector_param_staged():
@@ -416,19 +422,33 @@ class TestEmittedSourceKey:
 
 
 class TestCompileDeadline:
-    @pytest.mark.parametrize("raw,budget", [(None, 300.0), ("2.5", 2.5),
-                                            ("0", None)],
-                             ids=["default", "set", "disabled"])
-    def test_the_budget_comes_from_the_environment(self, monkeypatch,
-                                                   raw, budget):
-        if raw is None:
-            monkeypatch.delenv("REPRO_COMPILE_DEADLINE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_COMPILE_DEADLINE", raw)
-        assert resilience.compile_deadline() == budget
+    def test_the_manager_and_the_lock_share_one_budget(self, session,
+                                                       monkeypatch):
+        """One constant is both the deadline the manager hands a
+        background compile and the bound on an inline compile's wait
+        for the build lock: patching it moves both."""
+        monkeypatch.setattr(resilience, "COMPILE_DEADLINE_S", 7.0)
+        budgets = []
 
-    def test_the_manager_and_the_lock_share_one_budget(self):
-        assert tiered.compile_deadline is resilience.compile_deadline
+        def background(staged, *, deadline):
+            budgets.append(deadline - time.monotonic())
+            raise CompileError("no compile in this test")
+
+        def lock_wait(self, key, wait_until):
+            budgets.append(wait_until - time.monotonic())
+            raise CompileError("no compile in this test")
+
+        monkeypatch.setattr(tiered, "acquire_native", background)
+        monkeypatch.setattr(DiskKernelCache, "build_lock", lock_wait)
+        kernel = compile_staged(_kernel_fn(6.5), [array_of(FLOAT), INT32],
+                                name="budget_k", tier="async",
+                                use_cache=False).wait_native(30)
+        assert kernel.tier_events[-1].action == "demote"
+        with pytest.raises(CompileError):
+            acquire_native(_staged(6.5, "budget_k"),
+                           compilers=[CompilerInfo("gcc", "gcc", "gcc 0")])
+        assert len(budgets) == 2
+        assert all(6.0 < budget <= 7.0 for budget in budgets), budgets
 
 
 @pytest.fixture
@@ -437,8 +457,7 @@ def session(tmp_path, monkeypatch):
     own compiler and the default deadline."""
     root = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
-    for var in ("REPRO_CC", "REPRO_COMPILE_DEADLINE"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_CC", raising=False)
     clear_session_state()
     yield root
     clear_session_state()
@@ -449,7 +468,7 @@ def _preferred_key(staged) -> str:
     rung of the first compiler, over the emitted C."""
     cc = compiler_chain(inspect_system())[0]
     isas = required_isas(staged)
-    _rung, flags = next(iter(flag_ladder(cc, isas, required=isas)))
+    _rung, flags = flag_ladder(cc, isas)[0]
     digest = hashlib.sha256(export_source(staged).encode()).hexdigest()
     return DiskKernelCache.artifact_key(digest, cc.version, flags, isas)
 
@@ -544,8 +563,8 @@ class TestAcquireUnderTheLock:
 
     def test_an_explicit_deadline_bounds_the_wait(self, session):
         """With a deadline of its own the waiter stops at it, not at
-        the 300 s :func:`compile_deadline`, and the compile it then
-        owes is out of time."""
+        the 300 s :data:`~repro.core.resilience.COMPILE_DEADLINE_S`, and
+        the compile it then owes is out of time."""
         staged = _staged(2.5, "deadline_k")
         with _held_elsewhere(DiskKernelCache(root=session),
                              _preferred_key(staged)):

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.resilience as resilience
 import repro.obs as obs
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import clear_session_state
@@ -219,8 +220,7 @@ def _spawn_kernel_build(store: Path, cc: Path, tier: str,
                REPRO_CACHE_DIR=str(store),
                REPRO_CC=f"gcc={cc}",
                PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
-    for var in ("REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND",
-                "REPRO_COMPILE_DEADLINE"):
+    for var in ("REPRO_FAULTS", "REPRO_TIER"):
         env.pop(var, None)
     cmd = [sys.executable, "-c",
            f"from tests._build_worker import main; "
@@ -257,8 +257,7 @@ def holder(tmp_path, monkeypatch):
     cc = _counting_cc(tmp_path, log, sleep_s=120)
     proc = _spawn_kernel_build(store, cc, "sync", [0])
     monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
-    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND",
-                "REPRO_OBS"):
+    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_OBS"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()
@@ -319,7 +318,7 @@ def test_killed_holder_hands_the_build_to_a_waiter(holder):
 def test_waiter_past_its_deadline_compiles_alone(holder, monkeypatch):
     """A waiter waits no longer than its compile deadline, then compiles
     unlocked while the holder still holds the lock."""
-    monkeypatch.setenv("REPRO_COMPILE_DEADLINE", "1")
+    monkeypatch.setattr(resilience, "COMPILE_DEADLINE_S", 1.0)
     kernel = compile_one(0)
     assert holder.poll() is None        # the lock was never released
     assert kernel.tier == "native", kernel.fallback_reason

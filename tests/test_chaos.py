@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.codegen.compiler as compiler
 from repro.core import compile_staged
 from repro.core import faults
 from repro.core.cache import (
@@ -233,7 +234,7 @@ class TestWatchdog:
             compile_with_fallback,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "1.0")
+        monkeypatch.setattr(compiler, "COMPILE_TIMEOUT_S", 1.0)
         obs.reset()
         cc = CompilerInfo("gcc", str(self._hang_cc(tmp_path)), "fake 1")
         attempts = []
@@ -241,8 +242,7 @@ class TestWatchdog:
         with pytest.raises(PermanentCompileError, match="exhausted"):
             compile_with_fallback(
                 "int x;", tmp_path / "wd", frozenset(),
-                required=frozenset(), compilers=[cc],
-                attempts=attempts, max_retries=0)
+                compilers=[cc], attempts=attempts, max_retries=0)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"watchdog too slow: {elapsed:.1f}s"
         assert attempts and all(a.outcome == "transient"
@@ -260,7 +260,7 @@ class TestWatchdog:
             CompilerInfo,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "1.0")
+        monkeypatch.setattr(compiler, "COMPILE_TIMEOUT_S", 1.0)
         monkeypatch.setenv("REPRO_FAULTS", "compile.hang")
         faults.reset()
         cc = CompilerInfo("gcc", "/usr/bin/gcc", "gcc")
@@ -268,8 +268,7 @@ class TestWatchdog:
         with pytest.raises(PermanentCompileError):
             compile_with_fallback(
                 "int x;", tmp_path / "wd", frozenset(),
-                required=frozenset(), compilers=[cc],
-                attempts=attempts, max_retries=0)
+                compilers=[cc], attempts=attempts, max_retries=0)
         assert all(a.outcome == "transient" for a in attempts)
         assert faults.fired_counts()["compile.hang"] >= 1
 
@@ -281,13 +280,13 @@ class TestWatchdog:
             compile_with_fallback,
         )
 
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "30")
+        monkeypatch.setattr(compiler, "COMPILE_TIMEOUT_S", 30.0)
         cc = CompilerInfo("gcc", str(self._hang_cc(tmp_path)), "fake 1")
         t0 = time.monotonic()
         with pytest.raises(CompileDeadlineError):
             compile_with_fallback(
                 "int x;", tmp_path / "wd", frozenset(),
-                required=frozenset(), compilers=[cc], max_retries=2,
+                compilers=[cc], max_retries=2,
                 deadline=time.monotonic() + 0.8)
         elapsed = time.monotonic() - t0
         # one watchdog kill at ~0.8s, then the expired deadline stops
@@ -325,8 +324,8 @@ class TestChaosDifferential:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bit_identical_under_faults(self, chaos_state, monkeypatch,
                                         seed):
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "2.0")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr(compiler, "COMPILE_TIMEOUT_S", 2.0)
+        monkeypatch.setattr(compiler, "COMPILE_RETRIES", 0)
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
 
         monkeypatch.delenv("REPRO_FAULTS", raising=False)

@@ -1,5 +1,5 @@
-"""The repro.obs core: spans, metrics, exporters, the report renderer,
-and the tolerant env-var helpers."""
+"""The repro.obs core: spans, metrics, exporters and the report
+renderer."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import pytest
 import repro.obs as obs
 from repro.core import compile_staged
 from repro.core.cache import default_cache
-from repro.core.env import env_float, env_int
 from repro.core.resilience import clear_session_state
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
@@ -47,7 +46,7 @@ def native_env(monkeypatch, tmp_path):
     """A private disk cache and no ambient compiler, tier or fault
     settings, for tests that build a native kernel."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
-    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_BACKEND"):
+    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()
@@ -500,45 +499,3 @@ class TestSimulatorProfile:
         monkeypatch.setenv("REPRO_OBS_PROFILE", "1")
         machine = SimdMachine()
         assert machine._profile
-
-
-class TestEnvHelpers:
-    def test_defaults_when_unset(self, monkeypatch):
-        monkeypatch.delenv("X_FLOAT", raising=False)
-        assert env_float("X_FLOAT", 1.5) == 1.5
-        assert env_int("X_INT", 7) == 7
-
-    def test_parses_good_values(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "2.5")
-        monkeypatch.setenv("X_INT", "9")
-        assert env_float("X_FLOAT", 1.0) == 2.5
-        assert env_int("X_INT", 1) == 9
-
-    def test_malformed_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("X_FLOAT", "soon")
-        monkeypatch.setenv("X_INT", "3.5")
-        with pytest.warns(RuntimeWarning, match="X_FLOAT"):
-            assert env_float("X_FLOAT", 4.0) == 4.0
-        with pytest.warns(RuntimeWarning, match="X_INT"):
-            assert env_int("X_INT", 2) == 2
-
-    def test_minimum_clamps(self, monkeypatch):
-        monkeypatch.setenv("X_INT", "-5")
-        assert env_int("X_INT", 2, minimum=0) == 0
-        monkeypatch.setenv("X_FLOAT", "0")
-        assert env_float("X_FLOAT", 30.0, minimum=0.01) == 0.01
-
-    def test_smoke_timeout_tolerates_garbage(self, monkeypatch):
-        from repro.core.resilience import _smoke_timeout
-        monkeypatch.setenv("REPRO_SMOKE_TIMEOUT", "banana")
-        with pytest.warns(RuntimeWarning):
-            assert _smoke_timeout() == 30.0
-
-    def test_compile_knobs_tolerate_garbage(self, monkeypatch):
-        from repro.codegen.compiler import _compile_timeout, _max_retries
-        monkeypatch.setenv("REPRO_COMPILE_TIMEOUT", "NaNsense")
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "two")
-        with pytest.warns(RuntimeWarning):
-            assert _compile_timeout() == 120.0
-        with pytest.warns(RuntimeWarning):
-            assert _max_retries() == 2

@@ -29,7 +29,6 @@ def clean_obs(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.delenv("REPRO_CC", raising=False)
     monkeypatch.delenv("REPRO_OBS", raising=False)
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     obs.reset()
     default_cache.clear()
     clear_session_state()

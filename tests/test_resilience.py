@@ -11,11 +11,15 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.core.cache as cache_mod
+import repro.core.resilience as resilience
+import repro.obs as obs
 from repro.codegen.compiler import (
     CompilerInfo,
     PermanentCompileError,
@@ -23,6 +27,7 @@ from repro.codegen.compiler import (
     flag_ladder,
 )
 from repro.core import BackendKind, KernelQuarantinedError, compile_staged
+from repro.core import faults
 from repro.core.cache import DiskKernelCache, default_cache
 from repro.core.resilience import (
     acquire_native,
@@ -113,25 +118,14 @@ exec gcc "$@"
 
 
 class TestFlagLadder:
-    def test_rungs_degrade(self):
+    def test_the_ladder_is_o3_then_o2(self):
         cc = CompilerInfo("gcc", "/usr/bin/gcc", "gcc 12")
-        isas = frozenset({"AVX", "AVX2", "FMA"})
-        required = frozenset({"AVX"})
-        rungs = list(flag_ladder(cc, isas, required))
-        tags = [t for t, _ in rungs]
-        assert tags == ["O3", "O2", "O2-minimal-isa"]
-        assert "-O3" in rungs[0][1]
-        assert "-O2" in rungs[1][1] and "-O3" not in rungs[1][1]
-        # the minimal rung drops -m flags for ISAs the kernel does not need
-        assert "-mavx" in rungs[2][1]
-        assert "-mavx2" not in rungs[2][1]
-        assert "-mfma" not in rungs[2][1]
-
-    def test_identical_rungs_deduplicated(self):
-        cc = CompilerInfo("gcc", "/usr/bin/gcc", "gcc 12")
-        isas = frozenset({"AVX"})
-        tags = [t for t, _ in flag_ladder(cc, isas, required=isas)]
-        assert tags == ["O3", "O2"]
+        (o3_tag, o3), (o2_tag, o2) = flag_ladder(
+            cc, frozenset({"AVX", "AVX2", "FMA"}))
+        assert (o3_tag, o2_tag) == ("O3", "O2")
+        assert "-O3" in o3 and "-mavx2" in o3 and "-mfma" in o3
+        # the same flags, one optimization level down
+        assert o2 == ["-O2" if f == "-O3" else f for f in o3]
 
 
 @requires_compiler
@@ -180,10 +174,18 @@ class TestRetryAndFallback:
                            [array_of(FLOAT), INT32],
                            name="permfail_native", backend="native")
 
+    @pytest.mark.parametrize("breaks_o3",
+                             ["o3-rejecting-cc", "compile.permanent"])
     def test_flag_ladder_downgrades_to_o2(self, clean_state, tmp_path,
-                                          monkeypatch):
-        script = _fake_cc_rejects_o3(tmp_path)
-        monkeypatch.setenv("REPRO_CC", f"gcc={script}")
+                                          monkeypatch, breaks_o3):
+        if breaks_o3 == "o3-rejecting-cc":
+            script = _fake_cc_rejects_o3(tmp_path)
+            monkeypatch.setenv("REPRO_CC", f"gcc={script}")
+        else:
+            # the host's gcc; set after _pin_faults cleared the variable
+            monkeypatch.setenv("REPRO_FAULTS", "compile.permanent:n=1")
+            faults.reset()
+        obs.reset()
         kernel = compile_staged(build_unique(11.5, "o3less_k"),
                                 [array_of(FLOAT), INT32],
                                 name="o3less_k", backend="auto").wait_native()
@@ -193,6 +195,9 @@ class TestRetryAndFallback:
         assert outcomes[0] == ("O3", "permanent")
         assert outcomes[-1] == ("O2", "ok")
         assert "-O2" in rep.flags
+        if breaks_o3 == "compile.permanent":
+            assert obs.get_registry().counter_value(
+                "faults.fired", point="compile.permanent") == 1
 
     def test_failing_compiler_falls_through_to_the_next(
             self, clean_state, tmp_path, monkeypatch):
@@ -218,9 +223,8 @@ class TestRetryAndFallback:
         attempts = []
         with pytest.raises(PermanentCompileError, match="exhausted"):
             compile_with_fallback("int x = ;", tmp_path / "wd",
-                                  frozenset(), required=frozenset(),
-                                  compilers=[bad], attempts=attempts,
-                                  max_retries=1)
+                                  frozenset(), compilers=[bad],
+                                  attempts=attempts, max_retries=1)
         assert attempts and all(a.outcome == "permanent"
                                 for a in attempts)
 
@@ -231,9 +235,9 @@ class TestRetryAndFallback:
         sleeps = []
         with pytest.raises(PermanentCompileError):
             compile_with_fallback("int x;", tmp_path / "wd",
-                                  frozenset(), required=frozenset(),
-                                  compilers=[ghost], attempts=attempts,
-                                  max_retries=2, sleep=sleeps.append)
+                                  frozenset(), compilers=[ghost],
+                                  attempts=attempts, max_retries=2,
+                                  sleep=sleeps.append)
         assert all(a.outcome == "transient" for a in attempts)
         # bounded exponential backoff between retries of one rung
         assert len(sleeps) >= 2 and sleeps[1] > sleeps[0]
@@ -340,7 +344,7 @@ class TestSmokeAndQuarantine:
         """Every shard lock is held by a live process, so dropping the
         crashed artifact from the store times out; the kernel is still
         quarantined and served by the simulator."""
-        monkeypatch.setenv("REPRO_CACHE_LOCK_TIMEOUT", "0.05")
+        monkeypatch.setattr(cache_mod, "SHARD_LOCK_TIMEOUT_S", 0.05)
         default_cache.disk   # opened on an absent root: no sweep to wait out
         wedge = subprocess.Popen(
             [sys.executable, "-c", _HOLD_EVERY_SHARD_LOCK,
@@ -460,6 +464,20 @@ class TestDiskCache:
         # entries live in two-hex-char shard directories
         assert hit.so_path.parent.name == f"k{2:032d}"[:2]
 
+    def test_bounds_default_to_the_module_constants(self, tmp_path,
+                                                    monkeypatch):
+        """A store opened without bounds takes them from
+        ``DISK_CACHE_ENTRIES`` and ``SHARD_LOCK_TIMEOUT_S`` as it
+        opens."""
+        monkeypatch.setattr(cache_mod, "DISK_CACHE_ENTRIES", 2)
+        monkeypatch.setattr(cache_mod, "SHARD_LOCK_TIMEOUT_S", 0.25)
+        disk = DiskKernelCache(root=tmp_path / "d")
+        assert disk.lock_timeout == 0.25
+        for i in range(3):
+            disk.put(f"k{i:032d}", f"blob{i}".encode(), {"i": i})
+        assert len(disk) == 2
+        assert disk.get(f"k{0:032d}") is None               # evicted
+
     def test_checksum_validation(self, tmp_path):
         disk = DiskKernelCache(root=tmp_path / "d")
         key = "a" * 32
@@ -539,12 +557,11 @@ class TestRequiredIsas:
         assert required_isas(staged) == {"AVX"}
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestSmokeTimeout:
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_hung_child_is_killed_without_spinning(self, monkeypatch):
-        import time
-
-        import repro.core.resilience as resilience
+    @staticmethod
+    def _hung_artifact(monkeypatch):
+        """An artifact whose smoke-run child sleeps for a minute."""
         from repro.codegen.compiler import inspect_system
         from repro.codegen.native import NativeArtifact
 
@@ -552,6 +569,14 @@ class TestSmokeTimeout:
             time.sleep(60)
             return 0
 
+        monkeypatch.setattr(resilience, "_child_smoke", hang)
+        # the child never links: the library need not exist
+        return NativeArtifact(
+            staged=_staged(3.5, "hang_k"), c_source="",
+            so_path=Path("unbuilt.so"), symbol="repro_native_hang_k",
+            isas=frozenset(), system=inspect_system())
+
+    def test_hung_child_is_killed_without_spinning(self, monkeypatch):
         forked: list[int] = []
         real_fork = os.fork
 
@@ -561,13 +586,8 @@ class TestSmokeTimeout:
                 forked.append(pid)
             return pid
 
-        monkeypatch.setattr(resilience, "_child_smoke", hang)
+        artifact = self._hung_artifact(monkeypatch)
         monkeypatch.setattr(os, "fork", fork)
-        # the child never links: the library need not exist
-        artifact = NativeArtifact(
-            staged=_staged(3.5, "hang_k"), c_source="",
-            so_path=Path("unbuilt.so"), symbol="repro_native_hang_k",
-            isas=frozenset(), system=inspect_system())
         start = time.thread_time()
         verdict = resilience.smoke_test_artifact(artifact, timeout=0.5)
         spent = time.thread_time() - start
@@ -576,6 +596,17 @@ class TestSmokeTimeout:
         with pytest.raises(ChildProcessError):
             os.waitpid(forked[0], os.WNOHANG)     # already reaped
         assert spent < 0.25, f"the wait burned {spent:.2f}s of CPU"
+
+    def test_the_module_constant_is_the_default_bound(self, monkeypatch):
+        """Without ``timeout=`` the run is bounded by
+        :data:`~repro.core.resilience.SMOKE_TIMEOUT_S`, read at call
+        time."""
+        artifact = self._hung_artifact(monkeypatch)
+        monkeypatch.setattr(resilience, "SMOKE_TIMEOUT_S", 0.3)
+        start = time.monotonic()
+        verdict = resilience.smoke_test_artifact(artifact)
+        assert verdict.status == "timeout"
+        assert time.monotonic() - start < 10
 
 
 class TestValidateShadowCopies:

@@ -19,11 +19,13 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.codegen.compiler as compiler
 import repro.core.tiered as tiered
 import repro.obs as obs
 from repro.codegen.compiler import CompileError, _detect_compilers_cached
@@ -155,6 +157,19 @@ class TestEnvKnobs:
         assert compile_workers() == 3
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "0")
         assert compile_workers() == 1          # clamped
+        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "many")
+        with pytest.warns(RuntimeWarning, match="REPRO_COMPILE_WORKERS"):
+            assert compile_workers() == min(4, os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("raw", [None, "  "], ids=["unset", "blank"])
+    def test_compile_workers_default_is_quiet(self, monkeypatch, raw):
+        if raw is None:
+            monkeypatch.delenv("REPRO_COMPILE_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_COMPILE_WORKERS", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compile_workers() == min(4, os.cpu_count() or 1)
 
     def test_unknown_tier_argument_raises(self, tiered_state):
         for tier in ("turbo", "hot"):
@@ -209,23 +224,28 @@ class TestAsyncTier:
         assert kernel.tier_events == []     # unmanaged
         assert kernel.wait_native() is kernel   # no-op
 
-    def test_sync_kernel_reports_its_calls(self, tiered_state,
-                                           monkeypatch):
-        """A sync native kernel's calls are counted by its glue: one
-        per call, one per batch entry.  Only managed kernels report
-        ``tiered.calls``."""
+    @pytest.mark.parametrize("backend,tier", [("auto", "native"),
+                                              ("simulated", "simulated")])
+    def test_sync_kernel_reports_its_calls(self, tiered_state, monkeypatch,
+                                           backend, tier):
+        """An unmanaged kernel counts its calls on the tier serving
+        them, native ones in its glue: one per call, one per batch
+        entry.  Only managed kernels report ``tiered.calls``."""
         monkeypatch.delenv("REPRO_OBS", raising=False)
         kernel = compile_staged(build_unique(5.25, "sync_count_k"),
                                 [array_of(FLOAT), INT32],
-                                name="sync_count_k", tier="sync")
-        assert kernel.tier == "native"
+                                name="sync_count_k", backend=backend,
+                                tier="sync")
+        assert kernel.tier == tier
         seen = obs.get_registry().counter_value("tiered.calls")
         a = np.ones(8, np.float32)
         for _ in range(5):
             kernel(a, 8)
         kernel.call_batch([(a, 8)] * 3)
-        assert kernel.tier_calls == {"simulated": 0, "native": 8}
-        assert "(calls: simulated=0 native=8)" in kernel.explain()
+        calls = {"simulated": 0, "native": 0, tier: 8}
+        assert kernel.tier_calls == calls
+        assert (f"(calls: simulated={calls['simulated']} "
+                f"native={calls['native']})") in kernel.explain()
         assert obs.get_registry().counter_value("tiered.calls") == seen
 
     def test_explicit_native_backend_ignores_tiering(
@@ -335,7 +355,7 @@ class TestDemotion:
                                         monkeypatch):
         """Kernels demoted by a broken toolchain leave no admission
         state behind: the first kernel after the repair compiles."""
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr(compiler, "COMPILE_RETRIES", 0)
         # an unrunnable compiler: every attempt fails to start
         monkeypatch.setenv("REPRO_CC", f"gcc={tmp_path}/missing-cc")
         types = [array_of(FLOAT), INT32]
@@ -359,7 +379,7 @@ class TestDemotion:
         fallback is served from the in-memory cache once the toolchain
         is repaired: the same graph staged again compiles, on either
         tier."""
-        monkeypatch.setenv("REPRO_COMPILE_RETRIES", "0")
+        monkeypatch.setattr(compiler, "COMPILE_RETRIES", 0)
         monkeypatch.setenv("REPRO_CC", f"gcc={tmp_path}/missing-cc")
         fn, types = build_unique(14.25, "outage_k"), [array_of(FLOAT), INT32]
         demoted = compile_staged(fn, types, name="outage_k",
@@ -648,11 +668,16 @@ class TestClearSessionState:
 
 
 _STAGE_AND_RETURN = """
+import sys
 import time
+import repro.codegen.compiler as compiler
+import repro.core.resilience as resilience
 from repro.core import compile_staged
 from repro.lms.types import FLOAT, INT32, array_of
 from tests.test_tiered import build_unique
 
+compiler.COMPILE_TIMEOUT_S = 1.0
+resilience.COMPILE_DEADLINE_S = float(sys.argv[1])
 for i in range(4):
     compile_staged(build_unique(60.5 + i, f"exit{i}"),
                    [array_of(FLOAT), INT32], name=f"exit{i}", tier="async")
@@ -668,13 +693,12 @@ class TestExit:
                              _VERSION_PASSTHROUGH + "sleep 600\n")
         deadline = 2.0
         env = dict(os.environ, REPRO_CC=f"gcc={hang}",
-                   REPRO_COMPILE_TIMEOUT="1",
-                   REPRO_COMPILE_DEADLINE=str(deadline),
                    REPRO_COMPILE_WORKERS="1",
                    PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
         child = subprocess.run(
-            [sys.executable, "-c", _STAGE_AND_RETURN], env=env,
-            cwd=REPO_ROOT, capture_output=True, text=True, timeout=60)
+            [sys.executable, "-c", _STAGE_AND_RETURN, str(deadline)],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=60)
         exited = time.monotonic()
         assert child.returncode == 0, child.stderr
         waited = exited - float(child.stdout.split()[-1])
