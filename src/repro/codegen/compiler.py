@@ -284,15 +284,15 @@ def compile_shared_library(source: str, workdir: Path,
                            compiler: CompilerInfo | None = None,
                            name: str = "kernel",
                            flags: Sequence[str] | None = None,
-                           timeout: float | None = None,
                            deadline: float | None = None) -> Path:
     """Compile C source into a shared library and return its path.
 
     ``flags`` overrides the compiler's derived flag set (used by the
     fallback ladder); the dirs of :func:`glue_headers` are always on
-    the include path.  ``deadline`` is an absolute ``time.monotonic()``
-    instant; the effective watchdog timeout is clamped to the time
-    remaining, and an already-expired deadline raises
+    the include path.  Each invocation runs under a watchdog of
+    :data:`COMPILE_TIMEOUT_S`.  ``deadline`` is an absolute
+    ``time.monotonic()`` instant; the watchdog timeout is clamped to
+    the time remaining, and an already-expired deadline raises
     :class:`CompileDeadlineError` without invoking the compiler.
     Failures raise :class:`TransientCompileError` or
     :class:`PermanentCompileError`; both are :class:`CompileError`.
@@ -309,8 +309,7 @@ def compile_shared_library(source: str, workdir: Path,
     cmd = [cc.path, *use_flags,
            *(f"-I{include}" for include, _ in glue_headers()),
            str(c_path), "-o", str(so_path)]
-    if timeout is None:
-        timeout = COMPILE_TIMEOUT_S
+    timeout = COMPILE_TIMEOUT_S
     if deadline is not None:
         remaining = deadline - time.monotonic()
         if remaining <= 0:

@@ -22,8 +22,9 @@ the kernel's shared library is loaded as that extension module:
   Python frame between, and :meth:`NativeKernel.call_batch` is its
   ``call_batch`` entry, which packs every argument set into the
   ``void**`` table of ``<symbol>__batch`` and crosses once.  The glue
-  counts both in its module state (``NativeKernel.calls``), and each
-  load of a library is a fresh module with a count of its own.
+  counts both in its module state (``NativeKernel.calls``).  Every
+  handle links its own module, so each counts only its own calls, even
+  when two handles load one library.
 
 The exported symbol name is derived automatically from the staged
 function.  A host without ``Python.h`` or NumPy's C headers (shipped
@@ -154,7 +155,7 @@ class NativeKernel:
     :meth:`call_batch` is its ``call_batch`` entry.  ``calls()`` is the
     module's count of what those ran: one per call, one per batch
     entry.  It is this handle's own, since every load is a fresh module
-    (:meth:`relink`).  ``_fn`` and ``_batch_fn`` are ``ctypes`` handles
+    (:func:`load_kernel`).  ``_fn`` and ``_batch_fn`` are ``ctypes`` handles
     on the raw kernel and ``__batch`` symbols, bound on first access
     for measurements that time the bare kernel; no call path uses them.
     """
@@ -189,17 +190,6 @@ class NativeKernel:
         straight into the ``void**`` table.
         """
         return self._call_batch(args_seq)
-
-    def relink(self) -> "NativeKernel":
-        """A second handle on this kernel's library: a fresh instance
-        of its module, counting its own calls.  The library is already
-        built, smoke-tested and loaded, so this only runs the module's
-        initialisation."""
-        return NativeKernel(staged=self.staged, c_source=self.c_source,
-                            library_path=self.library_path,
-                            symbol=self.symbol, system=self.system,
-                            _module=_load_module(self.symbol,
-                                                 self.library_path))
 
     @cached_property
     def _fn(self) -> Any:
@@ -348,7 +338,6 @@ def build_native(staged: StagedFunction,
                  check_isas: bool = True,
                  compilers: Sequence[CompilerInfo] | None = None,
                  attempts: list[CompileAttempt] | None = None,
-                 max_retries: int | None = None,
                  deadline: float | None = None,
                  source: str | None = None) -> NativeArtifact:
     """Generate C and compile it down the fallback ladder — no linking.
@@ -383,8 +372,7 @@ def build_native(staged: StagedFunction,
     with obs.span("compile", kernel=staged.name) as compile_span:
         so_path, cc, flags = compile_with_fallback(
             source, wd, isas, compilers=ccs,
-            name=staged.name, attempts=attempts, max_retries=max_retries,
-            deadline=deadline)
+            name=staged.name, attempts=attempts, deadline=deadline)
         compile_span.set("compiler", cc.name)
         compile_span.set("flags", flags)
     return NativeArtifact(staged=staged, c_source=source, so_path=so_path,
@@ -419,8 +407,8 @@ def _load_module(symbol: str, so_path: Path) -> Any:
 
 def load_kernel(artifact: NativeArtifact) -> NativeKernel:
     """Load an artifact's shared library as its extension module (see
-    :func:`_load_module`); relinking one library gives a second working
-    handle."""
+    :func:`_load_module`); loading one library again gives a second
+    working handle with a module and a call count of its own."""
     return NativeKernel(staged=artifact.staged, c_source=artifact.c_source,
                         library_path=artifact.so_path,
                         symbol=artifact.symbol, system=artifact.system,

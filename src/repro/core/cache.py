@@ -31,7 +31,6 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 
 import repro.obs as obs
 from repro.core import faults
-from repro.core.procutil import pid_alive
 from repro.lms.defs import Block, Stm
 from repro.lms.expr import Const, Exp, Sym
 from repro.lms.staging import StagedFunction
@@ -122,7 +121,7 @@ class DiskCacheEntry:
 
 class CacheLockTimeout(OSError):
     """A shard lock could not be acquired within the configured
-    timeout and could not be broken as stale.  Subclasses
+    timeout, or its file could not be opened.  Subclasses
     :class:`OSError` so disk-cache callers that already absorb I/O
     failures degrade the same way (a wedged cache never blocks
     compilation)."""
@@ -146,30 +145,58 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-class _ShardLock:
-    """A held per-shard advisory lock (fd + path), released via
-    :meth:`release`."""
+#: How often a waiter on a store lock retries its non-blocking ``flock``.
+_LOCK_POLL_S = 0.005
 
-    __slots__ = ("fd", "path")
 
-    def __init__(self, fd: int, path: Path) -> None:
-        self.fd = fd
-        self.path = path
+def _flock(path: Path, deadline: float | None) -> tuple[int, str]:
+    """Open (or create) ``path`` and hold an exclusive ``flock`` on it.
 
-    def release(self) -> None:
-        if self.fd < 0:
-            return
+    Returns ``(fd, "held")``; ``(-1, "timeout")`` once ``deadline``
+    (absolute ``time.monotonic()``; ``None`` waits for the holder)
+    passes; or ``(-1, "unavailable")`` when the file cannot be opened
+    or locked.  A holder may unlink the file before it unlocks, so a
+    lock won on a file that ``path`` no longer names is dropped and
+    taken again on the file it does name.  ``flock`` locks die with
+    their holder's process, so a waiter only ever waits on a live one.
+    """
+    if fcntl is None:  # pragma: no cover - non-POSIX hosts
+        return -1, "unavailable"
+    while True:
         try:
-            if fcntl is not None:
-                fcntl.flock(self.fd, fcntl.LOCK_UN)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            return -1, "unavailable"
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                if deadline is not None and time.monotonic() >= deadline:
+                    os.close(fd)
+                    return -1, "timeout"
+                time.sleep(_LOCK_POLL_S)
+            except OSError:
+                os.close(fd)
+                return -1, "unavailable"
+        try:
+            if os.stat(path).st_ino == os.fstat(fd).st_ino:
+                return fd, "held"
         except OSError:
             pass
-        finally:
-            try:
-                os.close(self.fd)
-            except OSError:
-                pass
-            self.fd = -1
+        os.close(fd)
+
+
+def _unlock(fd: int) -> None:
+    """Release a lock :func:`_flock` took.  Unlocked explicitly, not
+    only closed: a smoke child forked meanwhile shares the open file."""
+    try:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 #: LRU bounds of the cache tiers: kernel handles and compiled simulator
@@ -178,7 +205,7 @@ KERNEL_CACHE_ENTRIES = 256
 PROGRAM_CACHE_ENTRIES = 256
 DISK_CACHE_ENTRIES = 128
 #: Seconds a disk-store operation waits for its shard lock before it
-#: breaks a dead owner's lock or gives up.
+#: gives up.
 SHARD_LOCK_TIMEOUT_S = 10.0
 
 
@@ -215,12 +242,11 @@ class DiskKernelCache:
     Because publishers hold the shard lock for the whole publish, any
     temp file visible under the lock is orphaned by definition.
 
-    **Stale-lock breaking.**  ``flock`` locks die with their holder, so
-    a killed publisher never wedges the shard.  If acquisition still
-    times out (:data:`SHARD_LOCK_TIMEOUT_S`), the pid stamped into the
-    lock file is probed; a dead owner's lock file is broken (unlinked)
-    and acquisition retried once, after which :class:`CacheLockTimeout`
-    is raised.
+    **Bounded lock waits.**  ``flock`` locks die with their holder, so
+    a killed publisher never wedges the shard, and a lock still held
+    at the deadline (:data:`SHARD_LOCK_TIMEOUT_S`) has a live holder:
+    it is never broken.  ``get`` then misses, and ``put`` and
+    ``invalidate`` raise :class:`CacheLockTimeout`.
 
     **Lock-held LRU eviction.**  The entry count is bounded across all
     shards (:data:`DISK_CACHE_ENTRIES`), least recently used first.
@@ -230,8 +256,11 @@ class DiskKernelCache:
     shard's lock.
 
     **One build per kernel.**  :meth:`build_lock` serializes the
-    compile of one kernel across processes, so processes missing the
-    same kernel at once pay for one compile between them.
+    compile of one kernel across processes and threads, so callers
+    missing the same kernel at once pay for one compile between them.
+
+    Every lock of the store, shard and build, is taken by one loop
+    (:func:`_flock`).
     """
 
     def __init__(self, root: str | Path | None = None,
@@ -276,63 +305,24 @@ class DiskKernelCache:
         shard = self.shard_dir(key)
         return shard / f"{key}.so", shard / f"{key}.json"
 
-    def _break_stale(self, lock_path: Path) -> bool:
-        """Unlink a lock file whose stamped owner pid is dead.
-
-        With ``flock`` the kernel releases a dead owner's lock, so this
-        only triggers for lock files left by foreign locking schemes or
-        corrupted stamps — but a chaos-killed publisher must never be
-        able to wedge a shard forever, whatever the mechanism.
-        """
-        try:
-            raw = lock_path.read_text().strip()
-            pid = int(raw) if raw else -1
-        except (OSError, ValueError):
-            pid = -1
-        if pid > 0 and pid_alive(pid):
-            return False
-        try:
-            lock_path.unlink()
-        except OSError:
-            return False
-        obs.counter("cache.disk.locks_broken")
-        return True
-
-    def _acquire_shard_lock(self, shard: Path) -> _ShardLock:
-        """Take the shard's advisory lock, bounded by
-        ``self.lock_timeout`` and with one stale-break attempt."""
-        lock_path = shard / ".lock"
+    @contextlib.contextmanager
+    def _shard_lock(self, shard: Path):
+        """Hold ``shard``'s ``.lock`` for the body.  Raises
+        :class:`CacheLockTimeout` once ``self.lock_timeout`` passes or
+        when the lock file cannot be opened."""
         if fcntl is None:  # pragma: no cover - non-POSIX hosts
-            return _ShardLock(-1, lock_path)
-        deadline = time.monotonic() + self.lock_timeout
-        broke_stale = False
-        while True:
-            try:
-                fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-            except OSError as exc:
-                raise CacheLockTimeout(
-                    f"cannot open shard lock {lock_path}: {exc}") from exc
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                os.close(fd)
-                if time.monotonic() >= deadline:
-                    if not broke_stale and self._break_stale(lock_path):
-                        broke_stale = True
-                        deadline = time.monotonic() + self.lock_timeout
-                        continue
-                    raise CacheLockTimeout(
-                        f"shard lock {lock_path} held for more than "
-                        f"{self.lock_timeout}s")
-                time.sleep(0.005)
-                continue
-            # stamp the owner pid for stale-lock diagnosis
-            try:
-                os.ftruncate(fd, 0)
-                os.write(fd, str(os.getpid()).encode())
-            except OSError:
-                pass
-            return _ShardLock(fd, lock_path)
+            yield
+            return
+        path = shard / ".lock"
+        fd, outcome = _flock(path, time.monotonic() + self.lock_timeout)
+        if fd < 0:
+            raise CacheLockTimeout(
+                f"shard lock {path}: {outcome} (waits up to "
+                f"{self.lock_timeout}s)")
+        try:
+            yield
+        finally:
+            _unlock(fd)
 
     # -- the read/write surface ----------------------------------------
 
@@ -356,37 +346,34 @@ class DiskKernelCache:
                 self._miss()
                 return None
             try:
-                lock = self._acquire_shard_lock(shard)
+                with self._shard_lock(shard):
+                    try:
+                        meta = json.loads(meta_path.read_text())
+                        blob = so_path.read_bytes()
+                    except (OSError, ValueError):
+                        # torn pair or absent entry: drop whichever half
+                        # survives so no future reader sees it
+                        self._drop_locked(key)
+                        self._miss()
+                        return None
+                    if not isinstance(meta, dict) or \
+                            hashlib.sha256(blob).hexdigest() != \
+                            meta.get("checksum"):
+                        self._drop_locked(key)
+                        self._miss()
+                        obs.counter("cache.disk.corrupt_dropped")
+                        return None
+                    for p in (so_path, meta_path):
+                        try:
+                            os.utime(p)  # last read: the LRU eviction rank
+                        except OSError:
+                            pass
+                    self.hits += 1
+                    obs.counter("cache.disk.hits")
+                    return DiskCacheEntry(so_path=so_path, meta=meta)
             except CacheLockTimeout:
                 self._miss()
                 return None
-            try:
-                try:
-                    meta = json.loads(meta_path.read_text())
-                    blob = so_path.read_bytes()
-                except (OSError, ValueError):
-                    # torn pair or absent entry: drop whichever half
-                    # survives so no future reader sees it
-                    self._drop_locked(key)
-                    self._miss()
-                    return None
-                if not isinstance(meta, dict) or \
-                        hashlib.sha256(blob).hexdigest() != \
-                        meta.get("checksum"):
-                    self._drop_locked(key)
-                    self._miss()
-                    obs.counter("cache.disk.corrupt_dropped")
-                    return None
-                for p in (so_path, meta_path):
-                    try:
-                        os.utime(p)  # last read: the LRU eviction rank
-                    except OSError:
-                        pass
-                self.hits += 1
-                obs.counter("cache.disk.hits")
-                return DiskCacheEntry(so_path=so_path, meta=meta)
-            finally:
-                lock.release()
 
     def invalidate(self, key: str) -> None:
         """Remove an entry (e.g. after its artifact was quarantined)."""
@@ -394,11 +381,8 @@ class DiskKernelCache:
             shard = self.shard_dir(key)
             if not shard.is_dir():
                 return
-            lock = self._acquire_shard_lock(shard)
-            try:
+            with self._shard_lock(shard):
                 self._drop_locked(key)
-            finally:
-                lock.release()
 
     def _publish_file(self, target: Path, payload: bytes) -> None:
         """Write-fsync-rename one file into its shard (lock held)."""
@@ -428,8 +412,7 @@ class DiskKernelCache:
             if payload is so_bytes:
                 payload = faults.corrupt_bytes("disk.corrupt_blob",
                                                so_bytes)
-            lock = self._acquire_shard_lock(shard)
-            try:
+            with self._shard_lock(shard):
                 self._publish_file(so_path, payload)
                 # the torn-publish window: the library is renamed but
                 # the manifest — the commit record — is not
@@ -439,8 +422,6 @@ class DiskKernelCache:
                     message=f"injected crash between publish halves "
                             f"of {key}")
                 self._publish_file(meta_path, json.dumps(meta).encode())
-            finally:
-                lock.release()
             self._evict()
             return so_path
 
@@ -462,15 +443,18 @@ class DiskKernelCache:
 
         The lock is an exclusive ``flock`` on ``<shard>/<key>.build``,
         not the shard ``.lock``, which guards every read and write of
-        1/256 of the store and gives up long before a compile ends.  A
-        killed holder's lock dies with its process.  The holder unlinks
+        1/256 of the store and gives up long before a compile ends.
+        Each caller locks an open file of its own, so two threads of one
+        process wait on it just as two processes do: it is the one
+        single-flight of compiles, on either tier.  A killed holder's
+        lock dies with its process.  The holder unlinks
         the file before it unlocks, so a waiter that then wins the lock
         on the unlinked file sees that the path names another file and
         tries again on that one.
         """
         path = self.shard_dir(key) / f"{key}.build"
         with obs.span("build_lock") as span:
-            fd, outcome = self._take_build_lock(path, deadline)
+            fd, outcome = _flock(path, deadline)
             span.set("outcome", outcome)
         try:
             yield fd >= 0
@@ -480,41 +464,7 @@ class DiskKernelCache:
                     path.unlink()
                 except OSError:
                     pass
-                _ShardLock(fd, path).release()
-
-    @staticmethod
-    def _take_build_lock(path: Path, deadline: float | None
-                         ) -> tuple[int, str]:
-        """``(locked fd, "held")``, or ``(-1, "timeout")`` once
-        ``deadline`` passes, or ``(-1, "unavailable")`` when ``path``
-        cannot be opened or locked."""
-        if fcntl is None:  # pragma: no cover - non-POSIX hosts
-            return -1, "unavailable"
-        while True:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
-            except OSError:
-                return -1, "unavailable"
-            while True:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                    break
-                except BlockingIOError:
-                    if deadline is not None and \
-                            time.monotonic() >= deadline:
-                        os.close(fd)
-                        return -1, "timeout"
-                    time.sleep(0.01)
-                except OSError:
-                    os.close(fd)
-                    return -1, "unavailable"
-            try:
-                if os.stat(path).st_ino == os.fstat(fd).st_ino:
-                    return fd, "held"
-            except OSError:
-                pass
-            os.close(fd)
+                _unlock(fd)
 
     # -- eviction and recovery -----------------------------------------
 
@@ -569,15 +519,12 @@ class DiskKernelCache:
                 meta_path.stem)
         for shard, keys in by_shard.items():
             try:
-                lock = self._acquire_shard_lock(shard)
+                with self._shard_lock(shard):
+                    for key in keys:
+                        self._drop_locked(key)
+                        obs.counter("cache.disk.evictions")
             except CacheLockTimeout:
-                continue
-            try:
-                for key in keys:
-                    self._drop_locked(key)
-                    obs.counter("cache.disk.evictions")
-            finally:
-                lock.release()
+                pass
 
     def recover(self) -> dict[str, int]:
         """Sweep every shard for crash debris: orphaned temp files, torn
@@ -594,83 +541,70 @@ class DiskKernelCache:
         freed_locks = 0
         for shard in self._shards():
             try:
-                lock = self._acquire_shard_lock(shard)
-            except CacheLockTimeout:
-                continue
-            try:
-                try:
-                    names = {p.name for p in shard.iterdir()}
-                except OSError:
-                    continue
-                for name in names:
-                    if name.endswith(".tmp"):
-                        try:
-                            (shard / name).unlink()
-                            removed["tmp"] += 1
-                        except OSError:
-                            pass
-                    elif name.endswith(".build"):
-                        freed_locks += self._unlink_free_build_lock(
-                            shard / name)
-                for name in sorted(names):
-                    if name.endswith(".so") and \
-                            f"{name[:-3]}.json" not in names:
-                        try:
-                            (shard / name).unlink()
-                            removed["orphan_so"] += 1
-                        except OSError:
-                            pass
-                    elif name.endswith(".json"):
-                        key = name[:-5]
-                        meta_ok = True
-                        try:
-                            meta = json.loads((shard / name).read_text())
-                            meta_ok = isinstance(meta, dict)
-                        except (OSError, ValueError):
-                            meta_ok = False
-                        if not meta_ok or f"{key}.so" not in names:
-                            # unlink shard-locally, not via the key's
-                            # canonical shard — a misfiled entry must be
-                            # deleted where it was found
-                            for half in (shard / name,
-                                         shard / f"{key}.so"):
+                with self._shard_lock(shard):
+                    try:
+                        names = {p.name for p in shard.iterdir()}
+                    except OSError:
+                        continue
+                    for name in names:
+                        if name.endswith(".tmp"):
+                            try:
+                                (shard / name).unlink()
+                                removed["tmp"] += 1
+                            except OSError:
+                                pass
+                        elif name.endswith(".build"):
+                            # a build lock no process holds is freed
+                            # while held, as build_lock's holder frees
+                            # it; counted only if it is the file listed,
+                            # not one _flock created after it was gone
+                            path = shard / name
+                            try:
+                                inode = os.stat(path).st_ino
+                            except OSError:
+                                continue
+                            fd, _ = _flock(path, time.monotonic())
+                            if fd >= 0:
                                 try:
-                                    half.unlink()
+                                    path.unlink()
+                                    freed_locks += \
+                                        os.fstat(fd).st_ino == inode
                                 except OSError:
                                     pass
-                            removed["orphan_meta"] += 1
-            finally:
-                lock.release()
+                                _unlock(fd)
+                    for name in sorted(names):
+                        if name.endswith(".so") and \
+                                f"{name[:-3]}.json" not in names:
+                            try:
+                                (shard / name).unlink()
+                                removed["orphan_so"] += 1
+                            except OSError:
+                                pass
+                        elif name.endswith(".json"):
+                            key = name[:-5]
+                            meta_ok = True
+                            try:
+                                meta = json.loads((shard / name).read_text())
+                                meta_ok = isinstance(meta, dict)
+                            except (OSError, ValueError):
+                                meta_ok = False
+                            if not meta_ok or f"{key}.so" not in names:
+                                # unlink shard-locally, not via the key's
+                                # canonical shard — a misfiled entry must
+                                # be deleted where it was found
+                                for half in (shard / name,
+                                             shard / f"{key}.so"):
+                                    try:
+                                        half.unlink()
+                                    except OSError:
+                                        pass
+                                removed["orphan_meta"] += 1
+            except CacheLockTimeout:
+                pass
         swept = sum(removed.values()) + freed_locks
         if swept:
             obs.counter("cache.disk.recovered", swept)
         return removed
-
-    @staticmethod
-    def _unlink_free_build_lock(path: Path) -> bool:
-        """Unlink the build-lock file ``path`` if no process holds it.
-
-        It is unlinked while locked, as :meth:`build_lock`'s holder
-        unlinks it, so a waiter that opened it re-checks the inode and
-        retries on a new file; and only if ``path`` still names the
-        file locked, not a new holder's.
-        """
-        if fcntl is None:  # pragma: no cover - non-POSIX hosts
-            return False
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except OSError:
-            return False
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            if os.stat(path).st_ino != os.fstat(fd).st_ino:
-                return False
-            path.unlink()
-            return True
-        except OSError:     # held (BlockingIOError), or already gone
-            return False
-        finally:
-            os.close(fd)
 
     def __len__(self) -> int:
         # shard census: only two-character shard directories hold entries
@@ -796,89 +730,6 @@ class ProgramCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._programs)
-
-
-class CompileJob:
-    """One in-flight background native compile: the single-flight unit.
-
-    Every :class:`~repro.core.pipeline.CompiledKernel` that requests
-    promotion of the same graph hash while the compile is in flight
-    attaches here, and all of them are hot-swapped (or demoted)
-    together when the job settles.  ``wait`` blocks callers that need
-    the settled tier (``CompiledKernel.wait_native``).
-    """
-
-    __slots__ = ("key", "kernels", "future", "outcome", "_done")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.kernels: list = []
-        self.future = None          # set by the manager after submit
-        self.outcome: str | None = None   # "native" | "demoted: ..." |
-        #                                   "cancelled"
-        self._done = threading.Event()
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._done.wait(timeout)
-
-    def finish(self, outcome: str) -> None:
-        self.outcome = outcome
-        self._done.set()
-
-
-class InflightCompiles:
-    """Single-flight registry of background compiles, keyed by graph
-    hash.
-
-    ``join_or_open`` and ``settle`` share one lock, so a kernel either
-    lands on the job the worker will settle (and gets swapped with it)
-    or opens a fresh job — never the gap in between.  Two threads
-    compiling the same graph hash therefore produce exactly one
-    compiler-ladder walk.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._jobs: dict[str, CompileJob] = {}
-
-    def join_or_open(self, key: str, kernel) -> tuple[CompileJob, bool]:
-        """Attach ``kernel`` to the open job for ``key``, or open a new
-        one.  Returns ``(job, owner)``; the owner submits the work."""
-        with self._lock:
-            job = self._jobs.get(key)
-            if job is not None:
-                # identity, not ==: kernel equality recurses into
-                # staged Exp.__eq__, which *stages* a comparison op
-                if kernel is not None and not any(
-                        k is kernel for k in job.kernels):
-                    job.kernels.append(kernel)
-                return job, False
-            job = CompileJob(key)
-            if kernel is not None:
-                job.kernels.append(kernel)
-            self._jobs[key] = job
-            return job, True
-
-    def settle(self, key: str) -> list:
-        """Detach the job for ``key`` and return its kernels.  Later
-        ``join_or_open`` calls start a fresh job (which will be served
-        by the now-trusted artifact caches)."""
-        with self._lock:
-            job = self._jobs.pop(key, None)
-            return list(job.kernels) if job is not None else []
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._jobs)
-
-    def jobs(self) -> list[CompileJob]:
-        """Snapshot of the open jobs (for abandoned-work accounting)."""
-        with self._lock:
-            return list(self._jobs.values())
 
 
 default_cache = KernelCache()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import operator
 import time
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -176,14 +177,20 @@ class CompiledKernel:
                     ) -> "CompiledKernel":
         """Block until this kernel's background compile settles on
         either tier; returns ``self``.  A no-op for unmanaged (sync)
-        kernels, whose compile ran inline.  Raises :class:`TimeoutError`
-        if the compile outlives ``timeout`` seconds.
+        kernels, whose compile ran inline, and immediate for one a drain
+        cancelled.  Raises :class:`TimeoutError` if the compile outlives
+        ``timeout`` seconds.
         """
         job = self._tier_job
-        if job is not None and not job.wait(timeout):
-            raise TimeoutError(
-                f"native compile of {self.name!r} did not settle "
-                f"within {timeout}s")
+        if job is not None:
+            try:
+                job.exception(timeout)
+            except futures.CancelledError:
+                pass
+            except futures.TimeoutError:
+                raise TimeoutError(
+                    f"native compile of {self.name!r} did not settle "
+                    f"within {timeout}s") from None
         return self
 
     def run_simulated(self, *args: Any) -> Any:

@@ -461,14 +461,12 @@ def _artifact_key(digest: str, artifact: NativeArtifact) -> str:
 
 def _compile(staged: StagedFunction, source: str,
              ccs: Sequence[CompilerInfo], report: CompileReport,
-             max_retries: int | None,
              deadline: float | None) -> NativeArtifact:
     """Walk the compiler ladder over ``source``, recording the attempts
     and the outcome in ``report``."""
     try:
         artifact = build_native(staged, check_isas=False, compilers=ccs,
                                 attempts=report.attempts,
-                                max_retries=max_retries,
                                 deadline=deadline, source=source)
     except CompileError as err:
         report.fallback_reason = str(err)
@@ -518,7 +516,6 @@ def _artifact_token(ghash: str, so_path) -> tuple[str, str]:
 def acquire_native(staged: StagedFunction, *,
                    system: SystemInfo | None = None,
                    compilers: Sequence[CompilerInfo] | None = None,
-                   max_retries: int | None = None,
                    deadline: float | None = None,
                    ) -> tuple[NativeKernel, CompileReport]:
     """Produce a trusted, linked native kernel — or refuse loudly.
@@ -581,7 +578,7 @@ def acquire_native(staged: StagedFunction, *,
                                             system, report)
                 if artifact is None:
                     artifact = _compile(staged, source, ccs, report,
-                                        max_retries, deadline)
+                                        deadline)
                     _disk_store(disk, artifact, ghash, digest)
         acq_span.set("cache_source", report.cache_source)
 

@@ -24,12 +24,13 @@ native (tier 1) atomically.
   serving simulated results, exactly like the inline ``"auto"`` path,
   and leaves the in-memory kernel cache, so the same graph staged
   after a repair compiles.
-* **Single-flight.**  Jobs dedup by structural graph hash through
-  :class:`repro.core.cache.InflightCompiles`; N threads warming the
-  same kernel cost one ladder walk, and all their handles swap
-  together, each onto a module of its own (:meth:`NativeKernel.relink`)
-  so each counts its own calls.  Every promotion is admitted and no
-  admission state is kept: a broken toolchain costs each kernel its
+* **Single-flight.**  Each managed kernel's compile is one pool
+  future, and the kernel's build lock
+  (:meth:`repro.core.cache.DiskKernelCache.build_lock`) dedups them:
+  N handles warming the same kernel cost one ladder walk, and the
+  others load the published artifact from disk, each into a module of
+  its own that counts its own calls.  Every promotion is admitted and
+  no admission state is kept: a broken toolchain costs each kernel its
   retries, the watchdog and the compile deadline
   (:data:`repro.core.resilience.COMPILE_DEADLINE_S`, 300 s) before it
   demotes, and the first kernel staged after a repair compiles.  At
@@ -51,7 +52,7 @@ import threading
 import time
 import warnings
 from collections.abc import Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -59,12 +60,7 @@ import repro.obs as obs
 from repro.codegen.compiler import CompileError
 from repro.codegen.native import NativeLinkError
 from repro.core import resilience
-from repro.core.cache import (
-    CompileJob,
-    InflightCompiles,
-    default_cache,
-    graph_hash,
-)
+from repro.core.cache import default_cache, graph_hash
 # bound by name, so a wrapper patched in here sees every background compile
 from repro.core.resilience import KernelQuarantinedError, acquire_native
 
@@ -198,18 +194,22 @@ class KernelManager:
 
     One process-wide instance (:data:`default_manager`) owns a lazy
     :class:`ThreadPoolExecutor` of :func:`compile_workers` threads and
-    the single-flight job table.  ``manage`` registers a fresh simulated
-    kernel's call tally and enqueues (or joins) its background compile;
-    the worker swaps or demotes every handle attached to the job when
-    :func:`repro.core.resilience.acquire_native` settles.
+    the graph hashes of its pending compiles.  ``manage`` registers a
+    fresh simulated kernel's call tally and submits its background
+    compile, one pool future per kernel; the worker swaps or demotes
+    the kernel when :func:`repro.core.resilience.acquire_native`
+    settles.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
-        self._inflight = InflightCompiles()
+        # graph hash of each pending compile, keyed by id(kernel): kernel
+        # equality recurses into Exp.__eq__, which stages a comparison
+        self._pending: dict[int, str] = {}
+        self._abandoned: list[str] = []
         self._counts = {key: 0 for key in (
-            "submitted", "attached", "swapped", "demoted", "cancelled")}
+            "submitted", "swapped", "demoted", "cancelled")}
         # Threading exit hooks run last-registered first, so this drain
         # runs before the one ``concurrent.futures.thread`` registered
         # on import, which would run every queued compile out.
@@ -220,15 +220,21 @@ class KernelManager:
     def stats(self) -> dict[str, int]:
         with self._lock:
             snapshot = dict(self._counts)
-        snapshot["pending"] = self._inflight.pending()
+            snapshot["pending"] = len(self._pending)
         return snapshot
 
-    def _bump(self, key: str) -> None:
-        with self._lock:
-            self._counts[key] += 1
-
     def _update_gauge(self) -> None:
-        obs.gauge("tiered.queue_depth", self._inflight.pending())
+        obs.gauge("tiered.queue_depth", self.stats()["pending"])
+
+    def _settled(self, kernel, count: str) -> None:
+        """Retire ``kernel``'s pending compile, counting how it ended;
+        :meth:`reset` names the cancelled ones."""
+        with self._lock:
+            key = self._pending.pop(id(kernel))
+            self._counts[count] += 1
+            if count == "cancelled":
+                self._abandoned.append(key)
+        self._update_gauge()
 
     # -- the management surface ----------------------------------------
 
@@ -241,39 +247,41 @@ class KernelManager:
             return self._pool
 
     def manage(self, kernel) -> None:
-        """Enqueue a fresh simulated-tier kernel's background compile,
-        or attach it to the in-flight compile of the same graph hash
-        (single-flight)."""
+        """Submit a fresh simulated-tier kernel's background compile."""
         kernel._record_tier_event("start", "simulated")
         obs.counter("tiered.managed")
         obs.tally(kernel, "tiered.calls", "tier", kernel.tier_calls)
-        job, owner = self._inflight.join_or_open(
-            graph_hash(kernel.staged), kernel)
-        kernel._tier_job = job
-        kernel._record_tier_event(
-            "enqueue", "simulated",
-            detail="owner" if owner else "joined in-flight compile")
-        if owner:
-            self._bump("submitted")
-            job.future = self._ensure_pool().submit(self._run_job, job)
-            job.future.add_done_callback(
-                lambda fut, j=job: self._future_done(j, fut))
-        else:
-            self._bump("attached")
-        obs.counter("tiered.enqueued",
-                    mode="owner" if owner else "attached")
+        kernel._record_tier_event("enqueue", "simulated")
+        key = graph_hash(kernel.staged)
+        with self._lock:
+            self._pending[id(kernel)] = key
+            self._counts["submitted"] += 1
+        # submitted outside the lock: a drain cancels queued futures
+        # under the pool's own lock, and their callbacks take this one
+        try:
+            future = kernel._tier_job = self._ensure_pool().submit(
+                self._run_job, kernel)
+        except RuntimeError:    # the pool was shut down meanwhile
+            with self._lock:
+                del self._pending[id(kernel)]
+                self._counts["submitted"] -= 1
+            raise
+        future.add_done_callback(
+            lambda fut, k=kernel: self._future_done(k, fut))
+        obs.counter("tiered.enqueued")
         self._update_gauge()
 
     # -- worker side ---------------------------------------------------
 
-    def _run_job(self, job: CompileJob) -> str:
-        staged = job.kernels[0].staged
+    def _run_job(self, kernel) -> str:
+        staged = kernel.staged
+        key = graph_hash(staged)
         start = time.perf_counter()
         native = report = None
         reason: str | None = None
         deadline = time.monotonic() + resilience.COMPILE_DEADLINE_S
         with obs.span("tiered.compile", kernel=staged.name,
-                      graph_hash=job.key) as compile_span:
+                      graph_hash=key) as compile_span:
             trace_id = obs.get_tracer().current_trace_id()
             try:
                 native, report = acquire_native(staged, deadline=deadline)
@@ -291,48 +299,30 @@ class KernelManager:
                     time.perf_counter() - start)
         trace = obs.get_tracer().spans_for_trace(trace_id) \
             if trace_id is not None else []
-        kernels = self._inflight.settle(job.key)
-        for i, kernel in enumerate(kernels):
-            handle, why = native, reason
-            if native is not None and i:
-                # a joined handle gets a module of its own, so each
-                # handle's glue counts only its own calls
-                try:
-                    handle = native.relink()
-                except NativeLinkError as exc:
-                    handle, why = None, str(exc)
-            if handle is not None:
-                with obs.span("swap", kernel=staged.name,
-                              graph_hash=job.key):
-                    kernel._swap_to_native(handle, report, trace=trace)
-                self._bump("swapped")
-                obs.counter("tiered.swaps")
-            else:
-                with obs.span("demote", kernel=staged.name,
-                              graph_hash=job.key, reason=why):
-                    kernel._demote(why, report, trace=trace)
-                default_cache.discard(kernel)
-                self._bump("demoted")
-                obs.counter("tiered.demotions")
-        job.finish("native" if native is not None
-                   else f"demoted: {reason}")
-        self._update_gauge()
-        return job.outcome or ""
+        if native is not None:
+            with obs.span("swap", kernel=staged.name, graph_hash=key):
+                kernel._swap_to_native(native, report, trace=trace)
+            self._settled(kernel, "swapped")
+            obs.counter("tiered.swaps")
+            return "native"
+        with obs.span("demote", kernel=staged.name, graph_hash=key,
+                      reason=reason):
+            kernel._demote(reason, report, trace=trace)
+        default_cache.discard(kernel)
+        self._settled(kernel, "demoted")
+        obs.counter("tiered.demotions")
+        return f"demoted: {reason}"
 
-    def _future_done(self, job: CompileJob, fut) -> None:
-        """Settle jobs whose pool future was cancelled before it ran
-        (``drain``); completed futures were settled by the worker."""
+    def _future_done(self, kernel, fut: Future) -> None:
+        """Settle a kernel whose pool future was cancelled before it ran
+        (``drain``); a future that ran was settled by its worker."""
         if not fut.cancelled():
             return
-        for kernel in self._inflight.settle(job.key):
-            kernel._record_tier_event(
-                "cancel", "simulated",
-                detail="background compile cancelled")
-            default_cache.discard(kernel)
-            self._bump("cancelled")
-            obs.counter("tiered.cancelled")
-        job.finish("cancelled")
-        self._update_gauge()
+        kernel._record_tier_event(
+            "cancel", "simulated", detail="background compile cancelled")
+        default_cache.discard(kernel)
+        self._settled(kernel, "cancelled")
+        obs.counter("tiered.cancelled")
 
     # -- lifecycle -----------------------------------------------------
 
@@ -350,21 +340,20 @@ class KernelManager:
         hook, also invoked by
         :func:`repro.core.resilience.clear_session_state`.
 
-        Compiles abandoned by the drain (their pool future was
-        cancelled before running) are *logged*, not silently dropped:
-        a ``tiered.abandoned`` counter and a :class:`RuntimeWarning`
-        naming the graph hashes, so a suite that throws work away
-        leaves a trace.
+        Compiles abandoned by a drain since the last reset (their pool
+        future was cancelled before running) are *logged*, not silently
+        dropped: a ``tiered.abandoned`` counter and a
+        :class:`RuntimeWarning` naming the graph hashes, so a suite that
+        throws work away leaves a trace.
         """
-        snapshot = self._inflight.jobs()
         self.drain()
-        abandoned = [job.key for job in snapshot
-                     if job.outcome == "cancelled"]
+        with self._lock:
+            abandoned, self._abandoned = sorted(self._abandoned), []
         if abandoned:
             obs.counter("tiered.abandoned", len(abandoned))
             warnings.warn(
                 f"abandoned {len(abandoned)} pending background "
-                f"compile(s) on reset: {', '.join(sorted(abandoned))}",
+                f"compile(s) on reset: {', '.join(abandoned)}",
                 RuntimeWarning, stacklevel=2)
         with self._lock:
             for key in self._counts:
@@ -393,8 +382,8 @@ def compile_many(fns: Sequence[Callable[..., object]],
     roughly one ladder-walk of wall clock instead of N.  With a warm
     disk cache the batch is a pure prewarm — workers probe the cache,
     smoke-test and link without ever invoking a compiler.  Duplicate
-    graph hashes in (or across) batches collapse to one compile via
-    the single-flight table.  Use :func:`wait_all` (or
+    graph hashes in (or across) batches collapse to one compile on the
+    kernel's build lock.  Use :func:`wait_all` (or
     ``kernel.wait_native()``) to block until the swaps settle.
     """
     from repro.core.pipeline import compile_staged

@@ -119,7 +119,7 @@ def _resilience_summary(counters: Mapping[str, float]) -> list[str]:
     # across runs, and a row that appears only once a counter fires
     # reads as a schema change instead of a value change
     for name in ("tiered.abandoned", "cache.disk.recovered",
-                 "cache.disk.locks_broken", "native.workdirs_swept"):
+                 "native.workdirs_swept"):
         lines.append(f"{name} = {int(counters.get(name, 0.0))}")
     return lines
 

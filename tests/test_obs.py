@@ -461,7 +461,6 @@ class TestReport:
                              obs.get_registry().snapshot())
         for row in ("watchdog.kills = 0", "tiered.abandoned = 0",
                     "cache.disk.recovered = 0",
-                    "cache.disk.locks_broken = 0",
                     "native.workdirs_swept = 0"):
             assert row in text, row
         # and nonzero values still render

@@ -261,7 +261,6 @@ for shard in range(256):
     os.makedirs(path, exist_ok=True)
     fd = os.open(os.path.join(path, ".lock"), os.O_RDWR | os.O_CREAT)
     fcntl.flock(fd, fcntl.LOCK_EX)
-    os.write(fd, str(os.getpid()).encode())
     fds.append(fd)
 print("locked", flush=True)
 sys.stdin.read()

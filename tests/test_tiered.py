@@ -4,7 +4,7 @@ Covers the HotSpot-shaped execution lattice: instant simulated-tier
 service with background native compilation and atomic hot-swap
 (``REPRO_TIER=async``) with every promotion admitted, quarantine-aware
 demotion that never raises into callers and leaves no admission state
-behind, single-flight compile deduplication by graph hash,
+behind, one compiler run per graph on either tier (the build lock),
 ``compile_many`` batch warming, hermetic ``clear_session_state``
 draining, and the precomputed marshalling plan of the native dispatch
 fast path.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -291,10 +292,37 @@ class TestAdmission:
         held_compiles.set()
         wait_all(kernels, timeout=60)
         assert default_manager.stats() == {
-            "submitted": n, "attached": 0, "swapped": 0, "demoted": n,
-            "cancelled": 0, "pending": 0}
+            "submitted": n, "swapped": 0, "demoted": n, "cancelled": 0,
+            "pending": 0}
         assert [k.fallback_reason for k in kernels] == [
             f"held compile of {name} released" for name in names]
+
+    def test_compiles_that_settle_at_once_are_all_retired(
+            self, tiered_state, monkeypatch):
+        """A worker may settle a compile before ``manage`` returns: with
+        more workers than cores and a tiny switch interval, every one
+        of many instant demotions still leaves the pending table."""
+        def acquire(staged, **_kwargs):
+            raise CompileError(f"no compile of {staged.name}")
+
+        monkeypatch.setattr(tiered, "acquire_native", acquire)
+        monkeypatch.setenv("REPRO_COMPILE_WORKERS", "4")
+        n = 150
+        names = [f"instant{i}" for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            kernels = compile_many(
+                [build_unique(200.0 + i, name)
+                 for i, name in enumerate(names)],
+                [[array_of(FLOAT), INT32]] * n, names=names)
+            wait_all(kernels, timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(k._tier_job.exception() is None for k in kernels)
+        assert default_manager.stats() == {
+            "submitted": n, "swapped": 0, "demoted": n, "cancelled": 0,
+            "pending": 0}
 
     def test_wait_native_times_out_while_the_compile_runs(
             self, held_compiles):
@@ -557,16 +585,15 @@ class TestConcurrency:
         assert len(kernels) == 2
         wait_all(kernels, timeout=60)
         assert all(k.tier == "native" for k in kernels)
-        # both handles share one background compile and one gcc run
+        # a background compile each, and one gcc run: the kernel's
+        # build lock holds the second until the first has published
         stats = default_manager.stats()
-        assert stats["submitted"] == 1
-        assert stats["attached"] == 1
+        assert stats["submitted"] == 2
         assert stats["swapped"] == 2
         assert int(count_file.read_text().strip()) == 1
-        # one library, loaded as a module per handle: each handle's
-        # glue counts its own calls
-        assert kernels[0]._native.library_path == \
-            kernels[1]._native.library_path
+        assert sorted(k.report.cache_source for k in kernels) == \
+            ["compiled", "disk"]
+        # a module per handle: each handle's glue counts its own calls
         before = [k.tier_calls["native"] for k in kernels]
         seen = obs.get_registry().counter_value("tiered.calls",
                                                 tier="native")
@@ -581,6 +608,40 @@ class TestConcurrency:
             [before[0] + 5, before[1] + 1]
         assert obs.get_registry().counter_value(
             "tiered.calls", tier="native") == seen + 6
+
+    def test_inline_compiles_of_one_graph_run_the_compiler_once(
+            self, tiered_state, tmp_path, monkeypatch):
+        """Threads compiling one graph inline wait on its build lock as
+        processes do: one compiler run, the others load it from disk."""
+        count_file = tmp_path / "cc-count"
+        monkeypatch.setenv(
+            "REPRO_CC",
+            f"gcc={_slow_cc(tmp_path, 0.5, count_file=count_file)}")
+        fn = build_unique(19.75, "inline_sf_k")
+        types = [array_of(FLOAT), INT32]
+        barrier = threading.Barrier(3)
+        kernels: list = []
+        errors: list = []
+
+        def compile_one():
+            try:
+                barrier.wait(30)
+                kernels.append(compile_staged(fn, types, name="inline_sf_k",
+                                              use_cache=False, tier="sync"))
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=compile_one) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert int(count_file.read_text().strip()) == 1
+        assert sorted(k.report.cache_source for k in kernels) == \
+            ["compiled", "disk", "disk"]
+        assert all(k.tier == "native" for k in kernels)
 
 
 @requires_compiler
@@ -635,6 +696,7 @@ class TestClearSessionState:
         """Regression: clear_session_state must leave no background
         work running and zeroed manager counters, so the next test
         starts from a clean slate."""
+        monkeypatch.delenv("REPRO_OBS", raising=False)
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "1")
         monkeypatch.setenv("REPRO_CC", f"gcc={_slow_cc(tmp_path, 0.6)}")
         types = [array_of(FLOAT), INT32]
@@ -643,7 +705,13 @@ class TestClearSessionState:
         k2 = compile_staged(build_unique(41.5, "drain2"), types,
                             name="drain2", tier="async")
         time.sleep(0.2)         # let the single worker pick up k1
-        clear_session_state()
+        abandoned = obs.get_registry().counter_value("tiered.abandoned")
+        with pytest.warns(RuntimeWarning, match=re.escape(
+                "abandoned 1 pending background compile(s) on reset: "
+                f"{graph_hash(k2.staged)}")):
+            clear_session_state()
+        assert obs.get_registry().counter_value("tiered.abandoned") == \
+            abandoned + 1
         stats = default_manager.stats()
         assert stats["pending"] == 0
         assert all(v == 0 for v in stats.values())
@@ -652,6 +720,7 @@ class TestClearSessionState:
         assert k1.tier == "native"
         assert k2.tier == "simulated"
         assert k2.tier_events[-1].action == "cancel"
+        assert k2.wait_native(1) is k2      # a cancelled compile is settled
         a = np.ones(8, np.float32)
         k2(a, 8)
         assert np.array_equal(a, _expected(41.5))
@@ -685,6 +754,71 @@ print(time.monotonic(), flush=True)
 """
 
 
+_STAGE_DURING_DRAIN = """
+import json
+import os
+import threading
+import time
+import repro.core.tiered as tiered
+from repro.codegen.compiler import CompileError
+from repro.core import compile_staged
+from repro.core.tiered import default_manager
+from repro.lms.types import FLOAT, INT32, array_of
+from tests.test_tiered import build_unique
+
+def acquire(staged, **_kwargs):
+    time.sleep(0.5)
+    raise CompileError("no compiler")
+
+tiered.acquire_native = acquire
+types = [array_of(FLOAT), INT32]
+for i in range(2):      # one worker: the second compile stays queued
+    kernel = compile_staged(build_unique(70.5 + i, f"race{i}"), types,
+                            name=f"race{i}", tier="async")
+pool = default_manager._pool
+draining = threading.Event()
+
+def ensure_pool():      # the pool, fetched just before the drain
+    draining.wait()
+    time.sleep(0.1)
+    return pool
+
+record = kernel._record_tier_event
+
+def record_cancel(action, tier, detail=""):
+    # runs under the pool's lock: a submit that holds the manager's
+    # lock gets there first
+    if action == "cancel":
+        draining.set()
+        t0 = time.monotonic()
+        while not default_manager._lock.locked() and \\
+                time.monotonic() - t0 < 0.5:
+            time.sleep(0.01)
+    record(action, tier, detail)
+
+kernel._record_tier_event = record_cancel
+default_manager._ensure_pool = ensure_pool
+
+def stage():
+    try:
+        compile_staged(build_unique(72.5, "race2"), types, name="race2",
+                       tier="async")
+    except RuntimeError:    # the drain shut its pool down first
+        pass
+
+threads = [threading.Thread(target=stage, daemon=True),
+           threading.Thread(target=default_manager.drain, daemon=True)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(10)
+stuck = any(t.is_alive() for t in threads)
+print(json.dumps({"stuck": stuck, "pending": None if stuck
+                  else default_manager.stats()["pending"]}), flush=True)
+os._exit(0)
+"""
+
+
 class TestExit:
     def test_exit_cancels_queued_compiles(self, tiered_state, tmp_path):
         """Under a hung compiler only the running compile holds the
@@ -704,6 +838,20 @@ class TestExit:
         waited = exited - float(child.stdout.split()[-1])
         # four queued kernels would hold it ~4 deadlines
         assert waited < deadline + 3.0, f"exit took {waited:.1f}s"
+
+    def test_staging_during_a_drain_does_not_deadlock(self, tiered_state):
+        """A drain runs cancelled compiles' callbacks under the pool's
+        lock, and they take the manager's: a kernel staged onto the
+        draining pool must not hold the manager's lock as it submits."""
+        env = dict(os.environ, REPRO_COMPILE_WORKERS="1",
+                   PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
+        child = subprocess.run(
+            [sys.executable, "-c", _STAGE_DURING_DRAIN],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True,
+            timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == {
+            "stuck": False, "pending": 0}
 
 
 @requires_compiler
