@@ -66,7 +66,6 @@ def _per_call_latency(kernel, size: int) -> float:
 @pytest.mark.benchmark(group="batch")
 def test_perf_batch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
-    monkeypatch.delenv("REPRO_TIER", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     default_cache.clear()
     clear_session_state()

@@ -2,7 +2,7 @@
 warm native call overhead against named baselines, and batch-compile
 throughput.
 
-The numbers behind DESIGN.md §10: with ``REPRO_TIER=async`` a fresh
+The numbers behind DESIGN.md §10: staged with ``tier="async"`` a fresh
 kernel must answer its first call from the simulated tier in
 milliseconds (hard-asserted < 50 ms, the acceptance bar) while the
 native compile runs in the background; ``compile_many`` fans N ladder
@@ -100,7 +100,6 @@ def _time_calls(fn, rounds: int) -> float:
 def test_perf_dispatch(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
     monkeypatch.setenv("REPRO_COMPILE_WORKERS", str(BATCH))
-    monkeypatch.delenv("REPRO_TIER", raising=False)
     default_cache.clear()
     clear_session_state()
     types = [array_of(FLOAT), INT32]

@@ -26,7 +26,6 @@ from repro.codegen.native import (
     NativeArtifact,
     NativeKernel,
     build_native,
-    compile_to_native,
     link_native,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "SystemInfo",
     "TransientCompileError",
     "build_native",
-    "compile_to_native",
     "compile_with_fallback",
     "compiler_chain",
     "detect_compilers",

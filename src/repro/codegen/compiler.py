@@ -279,34 +279,26 @@ def glue_headers() -> tuple[tuple[Path, str], ...]:
             (_NUMPY_INCLUDE_DIR, "numpy/arrayobject.h"))
 
 
-def compile_shared_library(source: str, workdir: Path,
-                           isas: frozenset[str],
-                           compiler: CompilerInfo | None = None,
-                           name: str = "kernel",
-                           flags: Sequence[str] | None = None,
+def compile_shared_library(source: str, workdir: Path, cc: CompilerInfo,
+                           name: str, flags: Sequence[str],
                            deadline: float | None = None) -> Path:
-    """Compile C source into a shared library and return its path.
+    """Compile C source with ``cc`` and ``flags`` (one rung of the
+    fallback ladder) into ``<workdir>/<name>.so`` and return its path.
 
-    ``flags`` overrides the compiler's derived flag set (used by the
-    fallback ladder); the dirs of :func:`glue_headers` are always on
-    the include path.  Each invocation runs under a watchdog of
-    :data:`COMPILE_TIMEOUT_S`.  ``deadline`` is an absolute
-    ``time.monotonic()`` instant; the watchdog timeout is clamped to
-    the time remaining, and an already-expired deadline raises
-    :class:`CompileDeadlineError` without invoking the compiler.
-    Failures raise :class:`TransientCompileError` or
-    :class:`PermanentCompileError`; both are :class:`CompileError`.
+    The dirs of :func:`glue_headers` are always on the include path.
+    Each invocation runs under a watchdog of :data:`COMPILE_TIMEOUT_S`.
+    ``deadline`` is an absolute ``time.monotonic()`` instant; the
+    watchdog timeout is clamped to the time remaining, and an
+    already-expired deadline raises :class:`CompileDeadlineError`
+    without invoking the compiler.  Failures raise
+    :class:`TransientCompileError` or :class:`PermanentCompileError`;
+    both are :class:`CompileError`.
     """
-    system = inspect_system()
-    cc = compiler or system.best_compiler
-    if cc is None:
-        raise PermanentCompileError("no C compiler found on this system")
     workdir.mkdir(parents=True, exist_ok=True)
     c_path = workdir / f"{name}.c"
     so_path = workdir / f"{name}.so"
     c_path.write_text(source)
-    use_flags = list(flags) if flags is not None else cc.flags_for(isas)
-    cmd = [cc.path, *use_flags,
+    cmd = [cc.path, *flags,
            *(f"-I{include}" for include, _ in glue_headers()),
            str(c_path), "-o", str(so_path)]
     timeout = COMPILE_TIMEOUT_S
@@ -338,11 +330,10 @@ def compile_shared_library(source: str, workdir: Path,
     return so_path
 
 
-def compiler_chain(system: SystemInfo | None = None
-                   ) -> tuple[CompilerInfo, ...]:
+def compiler_chain(system: SystemInfo) -> tuple[CompilerInfo, ...]:
     """All detected compilers in the paper's preference order
     (icc, gcc, clang) — the degradation chain of the fallback ladder."""
-    compilers = (system or inspect_system()).compilers
+    compilers = system.compilers
     ordered = [c for name in ("icc", "gcc", "clang")
                for c in compilers if c.name == name]
     ordered += [c for c in compilers if c not in ordered]
@@ -388,7 +379,7 @@ _RETRY_CAP_S = 1.0
 
 def compile_with_fallback(source: str, workdir: Path,
                           isas: frozenset[str],
-                          compilers: Sequence[CompilerInfo] | None = None,
+                          compilers: Sequence[CompilerInfo],
                           name: str = "kernel",
                           attempts: list[CompileAttempt] | None = None,
                           max_retries: int | None = None,
@@ -397,7 +388,9 @@ def compile_with_fallback(source: str, workdir: Path,
                           ) -> tuple[Path, CompilerInfo, tuple[str, ...]]:
     """Compile down the resilience ladder.
 
-    For each compiler in the icc→gcc→clang chain, walk the flag ladder;
+    For each of ``compilers`` (the icc→gcc→clang chain of
+    :func:`compiler_chain`, which the caller derived), walk the flag
+    ladder for ``isas``;
     transient failures are retried up to ``max_retries`` times (default
     :data:`COMPILE_RETRIES`) with bounded exponential backoff,
     permanent ones drop straight to the next rung.  Every invocation is
@@ -410,14 +403,10 @@ def compile_with_fallback(source: str, workdir: Path,
     exhausted.  The order is fixed (O3→O2 within each compiler), so
     the first rung that links costs exactly one attempt.
     """
-    ccs = list(compilers) if compilers is not None \
-        else list(compiler_chain())
-    if not ccs:
-        raise PermanentCompileError("no C compiler found on this system")
     retries = COMPILE_RETRIES if max_retries is None \
         else max(0, max_retries)
 
-    rungs = [(cc, rung, fl) for cc in ccs
+    rungs = [(cc, rung, fl) for cc in compilers
              for rung, fl in flag_ladder(cc, isas)]
     last: CompileError | None = None
     for cc, rung, fl in rungs:
@@ -442,8 +431,7 @@ def compile_with_fallback(source: str, workdir: Path,
                           rung=rung, flags=tuple(fl)) as att_span:
                 try:
                     so = compile_shared_library(
-                        source, workdir, isas, compiler=cc,
-                        name=name, flags=fl, deadline=deadline)
+                        source, workdir, cc, name, fl, deadline)
                 except TransientCompileError as exc:
                     last = exc
                     outcome, detail = "transient", str(exc)[:500]
@@ -476,5 +464,5 @@ def compile_with_fallback(source: str, workdir: Path,
             break
     raise PermanentCompileError(
         f"all compile attempts for {name!r} failed "
-        f"({len(ccs)} compiler(s), ladder exhausted); last error: {last}"
+        f"({len(compilers)} compiler(s), ladder exhausted); last error: {last}"
     )

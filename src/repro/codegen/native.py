@@ -60,8 +60,9 @@ from repro.codegen.compiler import (
     CompilerInfo,
     SystemInfo,
     compile_with_fallback,
-    compiler_chain,
     glue_headers,
+    # not called here; kept bound because perfbench's traced run wraps
+    # ``repro.codegen.native.inspect_system`` by name
     inspect_system,
 )
 from repro.lms.staging import StagedFunction
@@ -164,7 +165,6 @@ class NativeKernel:
     c_source: str
     library_path: Path
     symbol: str
-    system: SystemInfo
     _module: Any = field(repr=False, compare=False)
     _plan: tuple = field(default=(), repr=False, compare=False)
     _call: Any = field(default=None, repr=False, compare=False)
@@ -282,11 +282,9 @@ def _sweep_leaked_workdirs(base: Path) -> int:
 
 
 def _session_workdir(name: str) -> Path:
-    """A per-build directory under one atexit-cleaned session root.
-
-    Replaces the old leak where every ``compile_to_native`` call left a
-    ``tempfile.mkdtemp`` behind for the life of the machine; persistent
-    artifacts belong to the disk kernel cache instead.  Root creation
+    """A per-build directory under one atexit-cleaned session root, so
+    no build leaves a directory behind for the life of the machine;
+    persistent artifacts belong to the disk kernel cache.  Root creation
     is locked — background compile workers race through here.  Each
     root is stamped with its owner pid so a later process can sweep
     roots whose owners were killed before atexit ran.
@@ -318,9 +316,8 @@ class NativeArtifact:
     so_path: Path
     symbol: str
     isas: frozenset[str]
-    system: SystemInfo
-    compiler: CompilerInfo | None = None
-    flags: tuple[str, ...] = ()
+    compiler: CompilerInfo
+    flags: tuple[str, ...]
 
 
 def export_source(staged: StagedFunction) -> str:
@@ -333,51 +330,36 @@ def export_source(staged: StagedFunction) -> str:
         return emit_c_source(staged, export_name=EXPORT_PREFIX + staged.name)
 
 
-def build_native(staged: StagedFunction,
-                 workdir: str | Path | None = None,
-                 check_isas: bool = True,
-                 compilers: Sequence[CompilerInfo] | None = None,
+def build_native(staged: StagedFunction, source: str,
+                 isas: frozenset[str],
+                 compilers: Sequence[CompilerInfo],
                  attempts: list[CompileAttempt] | None = None,
-                 deadline: float | None = None,
-                 source: str | None = None) -> NativeArtifact:
-    """Generate C and compile it down the fallback ladder — no linking.
+                 deadline: float | None = None) -> NativeArtifact:
+    """Compile ``source``, the :func:`export_source` of ``staged``, down
+    the fallback ladder of ``compilers`` for ``isas`` — no linking.
 
-    The returned artifact has not been loaded into this process; link
-    it with :func:`link_native` (or let
-    :func:`repro.core.resilience.acquire_native` smoke-test it first).
-    ``deadline`` (absolute ``time.monotonic()``) bounds the whole
-    ladder walk; see :func:`compile_with_fallback`.  ``source`` is the
-    :func:`export_source` a caller already emitted (and keyed its disk
-    cache entry on); by default it is emitted here.
+    The caller (:func:`repro.core.resilience.acquire_native`) has
+    already checked the host and emitted and keyed the C; this only
+    checks that the glue's headers exist, picks a session workdir and
+    walks the ladder.  The returned artifact has not been loaded into
+    this process; link it with :func:`link_native`.  ``deadline``
+    (absolute ``time.monotonic()``) bounds the whole ladder walk; see
+    :func:`compile_with_fallback`.
     """
-    system = inspect_system()
-    ccs = list(compilers) if compilers is not None \
-        else list(compiler_chain(system))
-    if not ccs:
-        raise NativeLinkError("no C compiler available")
     for include, header in glue_headers():
         if not (include / header).is_file():
             raise NativeLinkError(
                 f"{header} not found under {include}: the kernel's "
                 f"CPython extension glue cannot be built")
-
-    isas = required_isas(staged)
-    if check_isas:
-        check_kernel_isas(staged.name, isas, system, ccs)
-
-    if source is None:
-        source = export_source(staged)
-    wd = Path(workdir) if workdir is not None else \
-        _session_workdir(staged.name)
     with obs.span("compile", kernel=staged.name) as compile_span:
         so_path, cc, flags = compile_with_fallback(
-            source, wd, isas, compilers=ccs,
+            source, _session_workdir(staged.name), isas, compilers,
             name=staged.name, attempts=attempts, deadline=deadline)
         compile_span.set("compiler", cc.name)
         compile_span.set("flags", flags)
     return NativeArtifact(staged=staged, c_source=source, so_path=so_path,
                           symbol=EXPORT_PREFIX + staged.name, isas=isas,
-                          system=system, compiler=cc, flags=flags)
+                          compiler=cc, flags=flags)
 
 
 def ctype_signature(staged: StagedFunction) -> tuple[list, Any]:
@@ -411,7 +393,7 @@ def load_kernel(artifact: NativeArtifact) -> NativeKernel:
     working handle with a module and a call count of its own."""
     return NativeKernel(staged=artifact.staged, c_source=artifact.c_source,
                         library_path=artifact.so_path,
-                        symbol=artifact.symbol, system=artifact.system,
+                        symbol=artifact.symbol,
                         _module=_load_module(artifact.symbol,
                                              artifact.so_path))
 
@@ -432,16 +414,3 @@ def link_native(artifact: NativeArtifact) -> NativeKernel:
     faults.maybe_raise("link.fail", NativeLinkError,
                        f"injected link failure for {artifact.symbol}")
     return load_kernel(artifact)
-
-
-def compile_to_native(staged: StagedFunction,
-                      workdir: str | Path | None = None,
-                      check_isas: bool = True) -> NativeKernel:
-    """Generate C, compile it and link it back (Figure 3's runtime path).
-
-    This is the direct, trusting path: no smoke-run, no quarantine, no
-    disk cache.  The managed pipeline (:mod:`repro.core.pipeline`) goes
-    through :func:`repro.core.resilience.acquire_native` instead.
-    """
-    return link_native(build_native(staged, workdir=workdir,
-                                    check_isas=check_isas))

@@ -34,7 +34,6 @@ from repro.core.tiered import (
     TierCalls,
     TierEvent,
     default_manager,
-    tier_mode,
 )
 from repro.lms.optimize import optimize_staged
 from repro.lms.staging import StagedFunction, stage_function
@@ -313,26 +312,25 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
                    name: str | None = None,
                    backend: str | None = None,
                    use_cache: bool = True,
-                   tier: str | None = None) -> CompiledKernel:
+                   tier: str = "sync") -> CompiledKernel:
     """Stage ``fn`` and link it (Figure 3's runtime path).
 
     ``backend`` is ``"auto"`` (default), ``"native"`` or ``"simulated"``.
-    ``tier`` is ``"sync"`` (compile natively inline) or ``"async"``
-    (serve from the simulator now, compile in the background and
-    hot-swap); it defaults to ``REPRO_TIER`` and only applies to the
-    ``"auto"`` backend — explicit ``"native"`` keeps its inline,
-    raise-on-failure semantics.  Identical kernels (by structural graph
-    hash) are served from the kernel cache, amortizing staging and
-    native compilation (the mitigation for the paper's Section 3.5
-    code-generation overhead).
+    ``tier`` is ``"sync"`` (the default: compile natively inline) or
+    ``"async"`` (serve from the simulator now, compile in the
+    background and hot-swap); no environment variable changes it, and
+    it only applies to the ``"auto"`` backend — explicit ``"native"``
+    keeps its inline, raise-on-failure semantics.  Identical kernels
+    (by structural graph hash) are served from the kernel cache,
+    amortizing staging and native compilation (the mitigation for the
+    paper's Section 3.5 code-generation overhead).
     """
     requested = backend or "auto"
     if requested not in ("auto", "native", "simulated"):
         raise ValueError(f"unknown backend {requested!r}")
-    if tier is not None and tier not in TIER_MODES:
+    if tier not in TIER_MODES:
         raise ValueError(f"unknown tier {tier!r}")
-    mode = tier if tier is not None else tier_mode()
-    deferred = requested == "auto" and mode == "async"
+    deferred = requested == "auto" and tier == "async"
     trace_id: int | None = None
     with obs.span("pipeline", requested=requested) as pipe_span:
         trace_id = obs.get_tracer().current_trace_id()
@@ -377,7 +375,7 @@ def compile_staged(fn: Callable[..., object], arg_types: Sequence[Type],
             # the toolchain again (a quarantined one is refused at once)
             default_cache.put_for(staged, requested, kernel)
         if deferred:
-            pipe_span.set("tier", mode)
+            pipe_span.set("tier", tier)
             default_manager.manage(kernel)
     if trace_id is not None:
         kernel.trace = obs.get_tracer().spans_for_trace(trace_id)

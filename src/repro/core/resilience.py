@@ -49,7 +49,6 @@ from repro.codegen.compiler import (
     CompileError,
     CompilerInfo,
     PermanentCompileError,
-    SystemInfo,
     TransientCompileError,
     compiler_chain,
     flag_ladder,
@@ -150,7 +149,8 @@ def quarantined_kernels() -> dict[str, str]:
 def clear_session_state() -> None:
     """Forget quarantines and smoke-trusted artifacts, after draining
     any pending background compiles and resetting the tiered manager's
-    counters (test hook; keeps suites hermetic under ``REPRO_TIER``).
+    counters (test hook; keeps suites hermetic whichever tier they
+    compile on).
 
     Order matters: the manager drains first so an in-flight compile
     cannot quarantine a kernel *after* the registry is cleared.
@@ -426,7 +426,7 @@ COMPILE_DEADLINE_S = 300.0
 
 def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
                  rungs: Sequence[tuple[CompilerInfo, list[str], str]],
-                 isas: frozenset[str], system: SystemInfo,
+                 isas: frozenset[str],
                  report: CompileReport) -> NativeArtifact | None:
     """Probe the disk tier under every ``(compiler, flags, key)`` the
     ladder could produce, preferred configuration first."""
@@ -448,7 +448,7 @@ def _disk_lookup(disk: DiskKernelCache, staged: StagedFunction,
                 so_path=entry.so_path,
                 symbol=meta.get("symbol", ""),
                 isas=frozenset(meta.get("isas", sorted(isas))),
-                system=system, compiler=cc, flags=tuple(flags))
+                compiler=cc, flags=tuple(flags))
         probe_span.set("outcome", "miss")
     obs.counter("acquire.disk_probe", outcome="miss")
     return None
@@ -459,31 +459,27 @@ def _artifact_key(digest: str, artifact: NativeArtifact) -> str:
         digest, artifact.compiler.version, artifact.flags, artifact.isas)
 
 
-def _compile(staged: StagedFunction, source: str,
+def _compile(staged: StagedFunction, source: str, isas: frozenset[str],
              ccs: Sequence[CompilerInfo], report: CompileReport,
              deadline: float | None) -> NativeArtifact:
     """Walk the compiler ladder over ``source``, recording the attempts
     and the outcome in ``report``."""
     try:
-        artifact = build_native(staged, check_isas=False, compilers=ccs,
-                                attempts=report.attempts,
-                                deadline=deadline, source=source)
+        artifact = build_native(staged, source, isas, ccs,
+                                attempts=report.attempts, deadline=deadline)
     except CompileError as err:
         report.fallback_reason = str(err)
         err.report = report  # type: ignore[attr-defined]
         raise
     report.cache_source = "compiled"
-    if artifact.compiler is not None:
-        report.compiler = artifact.compiler.name
-        report.compiler_version = artifact.compiler.version
-        report.flags = artifact.flags
+    report.compiler = artifact.compiler.name
+    report.compiler_version = artifact.compiler.version
+    report.flags = artifact.flags
     return artifact
 
 
 def _disk_store(disk: DiskKernelCache, artifact: NativeArtifact,
                 ghash: str, digest: str) -> None:
-    if artifact.compiler is None:
-        return
     try:
         blob = artifact.so_path.read_bytes()
     except OSError:
@@ -514,19 +510,21 @@ def _artifact_token(ghash: str, so_path) -> tuple[str, str]:
 
 
 def acquire_native(staged: StagedFunction, *,
-                   system: SystemInfo | None = None,
                    compilers: Sequence[CompilerInfo] | None = None,
                    deadline: float | None = None,
                    ) -> tuple[NativeKernel, CompileReport]:
     """Produce a trusted, linked native kernel — or refuse loudly.
 
-    The full resilience path: quarantine check, C emission, disk-cache
-    probe, then on a miss the kernel's build lock, a second probe, and
-    only if the kernel is still missing a ladder compile (with retries)
-    and disk-cache store; then, with the lock released, a forked
-    smoke-run and only then loading its extension module into this
-    process.  ``deadline`` (absolute ``time.monotonic()``) bounds the
-    compile ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`
+    The only way a staged graph becomes a linked :class:`NativeKernel`.
+    It inspects the host and derives the kernel's ISAs, compilers and C
+    once; the layers under it take them from here.  The full resilience
+    path: quarantine check, C emission, disk-cache probe, then on a
+    miss the kernel's build lock, a second probe, and only if the
+    kernel is still missing a ladder compile (with retries) and
+    disk-cache store; then, with the lock released, a forked smoke-run
+    and only then loading its extension module into this process.
+    ``deadline`` (absolute ``time.monotonic()``) bounds the compile
+    ladder — see :class:`repro.codegen.compiler.CompileDeadlineError`
     — and the wait for the build lock; without one only the wait is
     bounded, by :data:`COMPILE_DEADLINE_S` from now.  A waiter past its
     bound, or a store whose lock file cannot be taken, compiles unlocked.
@@ -535,7 +533,7 @@ def acquire_native(staged: StagedFunction, *,
     (both :class:`CompileError`) or :class:`NativeLinkError`; each
     carries the ``report`` attribute.
     """
-    system = system or inspect_system()
+    system = inspect_system()
     ccs = list(compilers) if compilers is not None \
         else list(compiler_chain(system))
     ghash = graph_hash(staged)
@@ -568,16 +566,15 @@ def acquire_native(staged: StagedFunction, *,
                      digest, cc.version, flags, isas))
                  for cc in ccs
                  for _rung, flags in flag_ladder(cc, isas)]
-        artifact = _disk_lookup(disk, staged, rungs, isas, system, report)
+        artifact = _disk_lookup(disk, staged, rungs, isas, report)
         if artifact is None:
             wait_until = deadline if deadline is not None \
                 else time.monotonic() + COMPILE_DEADLINE_S
             with disk.build_lock(rungs[0][2], wait_until) as held:
                 if held:
-                    artifact = _disk_lookup(disk, staged, rungs, isas,
-                                            system, report)
+                    artifact = _disk_lookup(disk, staged, rungs, isas, report)
                 if artifact is None:
-                    artifact = _compile(staged, source, ccs, report,
+                    artifact = _compile(staged, source, isas, ccs, report,
                                         deadline)
                     _disk_store(disk, artifact, ghash, digest)
         acq_span.set("cache_source", report.cache_source)
@@ -597,13 +594,12 @@ def acquire_native(staged: StagedFunction, *,
                     smoke_span.set("verdict", report.smoke)
                     obs.counter("smoke.verdicts", status=report.smoke)
                     quarantine(ghash, reason)
-                    if artifact.compiler is not None:
-                        # never serve a condemned artifact to others;
-                        # a wedged cache does not stop the fallback
-                        try:
-                            disk.invalidate(_artifact_key(digest, artifact))
-                        except OSError:
-                            pass
+                    # never serve a condemned artifact to others; a
+                    # wedged cache does not stop the fallback
+                    try:
+                        disk.invalidate(_artifact_key(digest, artifact))
+                    except OSError:
+                        pass
                     report.fallback_reason = f"quarantined: {reason}"
                     raise KernelQuarantinedError(ghash, reason, report)
                 if verdict.status == "passed":

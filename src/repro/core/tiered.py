@@ -38,11 +38,12 @@ native (tier 1) atomically.
   are waited out, so a hung compiler holds exit for about one deadline
   (DESIGN.md §11).
 
-Environment: ``REPRO_TIER`` (``sync`` | ``async``, default ``sync``)
-and ``REPRO_COMPILE_WORKERS`` (default ``min(4, cpus)``).  The compiler
-ladder and the smoke-run already execute in subprocesses, so worker
-*threads* get real parallelism — ``compile_many`` over N independent
-kernels costs roughly one ladder-walk of wall clock, not N.
+A kernel is managed when it is staged with ``tier="async"``
+(``compile_staged``'s argument; ``compile_many`` always passes it).
+Environment: ``REPRO_COMPILE_WORKERS`` (default ``min(4, cpus)``).
+The compiler ladder and the smoke-run already execute in subprocesses,
+so worker *threads* get real parallelism — ``compile_many`` over N
+independent kernels costs roughly one ladder-walk of wall clock, not N.
 """
 
 from __future__ import annotations
@@ -72,28 +73,10 @@ __all__ = [
     "compile_many",
     "compile_workers",
     "default_manager",
-    "tier_mode",
     "wait_all",
 ]
 
 TIER_MODES = ("sync", "async")
-
-
-def tier_mode() -> str:
-    """The tiering policy for ``backend="auto"`` kernels
-    (``REPRO_TIER``): ``sync`` compiles inline (the pre-tiered
-    behaviour), ``async`` serves from the simulator and enqueues the
-    native compile at once."""
-    raw = os.environ.get("REPRO_TIER")
-    if raw is None or not raw.strip():
-        return "sync"
-    mode = raw.strip().lower()
-    if mode not in TIER_MODES:
-        warnings.warn(
-            f"ignoring unknown REPRO_TIER={raw!r}; using 'sync'",
-            RuntimeWarning, stacklevel=2)
-        return "sync"
-    return mode
 
 
 def compile_workers() -> int:
@@ -261,11 +244,9 @@ class KernelManager:
         try:
             future = kernel._tier_job = self._ensure_pool().submit(
                 self._run_job, kernel)
-        except RuntimeError:    # the pool was shut down meanwhile
-            with self._lock:
-                del self._pending[id(kernel)]
-                self._counts["submitted"] -= 1
-            raise
+        except RuntimeError:    # a drain shut the pool down meanwhile
+            self._cancelled(kernel)
+            return
         future.add_done_callback(
             lambda fut, k=kernel: self._future_done(k, fut))
         obs.counter("tiered.enqueued")
@@ -316,8 +297,14 @@ class KernelManager:
     def _future_done(self, kernel, fut: Future) -> None:
         """Settle a kernel whose pool future was cancelled before it ran
         (``drain``); a future that ran was settled by its worker."""
-        if not fut.cancelled():
-            return
+        if fut.cancelled():
+            self._cancelled(kernel)
+
+    def _cancelled(self, kernel) -> None:
+        """Settle a kernel whose compile a drain cancelled, queued on
+        the pool or submitted to it as it shut down: the kernel keeps
+        serving from the simulator and leaves the memory cache, so its
+        graph staged again compiles."""
         kernel._record_tier_event(
             "cancel", "simulated", detail="background compile cancelled")
         default_cache.discard(kernel)

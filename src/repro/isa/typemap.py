@@ -40,10 +40,6 @@ class MappedParam:
     is_immediate: bool       # C requires a compile-time constant
 
 
-def strip_pointer(c_type: str) -> str:
-    return (c_type.replace("const", "").replace("*", "").strip())
-
-
 def map_return_type(c_type: str) -> Type:
     c_type = c_type.strip()
     if c_type in ("void", ""):
@@ -68,7 +64,3 @@ def map_param(varname: str, c_type: str) -> MappedParam:
         "imm8", "rounding", "scale", "pattern", "hint")
     scalar = scalar_for_c_type(c.replace("const ", ""))
     return MappedParam(varname, c, scalar, False, immediate)
-
-
-def is_vector_c_type(c_type: str) -> bool:
-    return c_type.strip() in _VECTOR_BY_C

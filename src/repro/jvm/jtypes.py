@@ -49,8 +49,6 @@ JLONG = JType("long", 64, False, "int64")
 JFLOAT = JType("float", 32, True, "float32")
 JDOUBLE = JType("double", 64, True, "float64")
 
-PRIMITIVES = (JBOOL, JBYTE, JSHORT, JCHAR, JINT, JLONG, JFLOAT, JDOUBLE)
-
 
 def promote_pair(a: JType, b: JType) -> JType:
     """JLS binary numeric promotion of two operand types."""
@@ -61,10 +59,3 @@ def promote_pair(a: JType, b: JType) -> JType:
     if a == JLONG or b == JLONG:
         return JLONG
     return JINT
-
-
-def jtype_named(name: str) -> JType:
-    for t in PRIMITIVES:
-        if t.name == name:
-            return t
-    raise KeyError(f"unknown Java type {name!r}")

@@ -128,9 +128,6 @@ class IRBuilder:
         self.definitions[sym.id] = stm
         return sym
 
-    def declare_local_container(self, sym_id: int) -> None:
-        self._frame.ectx.local_containers.add(sym_id)
-
     def mark_mutable(self, sym: Sym) -> None:
         """Mark an argument as a mutable container (``reflectMutableSym``)."""
         self.mutable_syms.add(sym.id)
@@ -160,10 +157,6 @@ def current_builder() -> IRBuilder:
             "stage_function() or a staging_scope()"
         )
     return stack[-1]
-
-
-def has_builder() -> bool:
-    return bool(_stack())
 
 
 @contextlib.contextmanager

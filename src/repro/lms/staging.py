@@ -54,10 +54,6 @@ class StagedFunction:
             self._scheduled_body = schedule_block(self.body)
         return self._scheduled_body
 
-    @property
-    def param_types(self) -> list[Type]:
-        return [p.tp for p in self.params]
-
     def mutated_params(self) -> list[Sym]:
         """Parameters written by the body (arrays marked mutable and
         actually stored to, per the effect summary)."""

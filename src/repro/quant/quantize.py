@@ -30,10 +30,6 @@ class QuantizedArray:
     data: np.ndarray
     n: int
 
-    @property
-    def format_name(self) -> str:
-        return {32: "fp32", 16: "fp16", 8: "int8", 4: "sm4"}[self.bits]
-
 
 def scale_factor(values: np.ndarray, bits: int) -> float:
     """``(2^(b-1) - 1) / max|v|`` — maps values into representable range."""

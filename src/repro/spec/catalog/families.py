@@ -40,11 +40,6 @@ def _vt(bits: int, is_float: bool, lane_bits: int) -> str:
     return {128: "__m128d", 256: "__m256d", 512: "__m512d"}[bits]
 
 
-def _mask_t(bits: int, lane_bits: int) -> str:
-    lanes = bits // lane_bits
-    return f"__mmask{max(8, lanes)}"
-
-
 # ---------------------------------------------------------------------------
 # AVX-512: the dominant bucket (Table 1b: 3857).
 # ---------------------------------------------------------------------------

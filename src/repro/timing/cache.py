@@ -33,14 +33,6 @@ class CacheHierarchy:
                 return level
         return self.dram
 
-    def level_named(self, name: str) -> CacheLevel:
-        for level in self.levels:
-            if level.name == name:
-                return level
-        if name == self.dram.name:
-            return self.dram
-        raise KeyError(f"unknown cache level {name!r}")
-
 
 # Haswell Xeon E3-1285L v3: 32KB L1D, 256KB L2, 8MB shared L3.
 HASWELL_CACHES = CacheHierarchy(
@@ -60,10 +52,6 @@ class StreamInfo:
     name: str
     footprint_bytes: float
     level: CacheLevel
-
-    @property
-    def in_l1(self) -> bool:
-        return self.level.name == "L1"
 
 
 def assign_streams(footprints: dict[str, float],

@@ -10,7 +10,7 @@ lowering prices every problem size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.jvm.ast import Expr
@@ -146,18 +146,3 @@ def trip_count(loop: MachineLoop, env: dict[str, float]) -> int:
     if step <= 0:
         raise BoundEvalError("loop step must be positive")
     return max(0, -(-int(end - start) // int(step)))
-
-
-def flat_ops(items: Sequence[KernelItem]) -> list[MachineOp]:
-    """The machine ops at this nesting level (loops excluded)."""
-    out: list[MachineOp] = []
-    for item in items:
-        if isinstance(item, MachineOp):
-            out.append(item)
-        elif isinstance(item, SetupAssign):
-            out.extend(item.ops)
-    return out
-
-
-def inner_loops(items: Sequence[KernelItem]) -> list[MachineLoop]:
-    return [item for item in items if isinstance(item, MachineLoop)]

@@ -1,8 +1,10 @@
 """Helper for cross-process disk-cache tests: compiles one fixed kernel
-through the managed pipeline and prints its CompileReport as JSON.
+through the managed pipeline on a given tier and prints its
+CompileReport as JSON.
 
-Run as ``python -c "from tests._resilience_kernel import main; main()"``
-with ``REPRO_CACHE_DIR`` pointing at the cache under test.
+Run as ``python -c "from tests._resilience_kernel import main;
+main('sync')"`` with ``REPRO_CACHE_DIR`` pointing at the cache under
+test.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ def build():
     return k2proc
 
 
-def main() -> None:
+def main(tier: str) -> None:
     from repro.core import compile_staged
     from repro.lms.types import FLOAT, INT32, array_of
 
     kernel = compile_staged(build(), [array_of(FLOAT), INT32],
-                            name="k2proc", backend="auto").wait_native()
+                            name="k2proc", backend="auto",
+                            tier=tier).wait_native()
     rep = kernel.report
     print(json.dumps({
         "backend": kernel.backend.value,

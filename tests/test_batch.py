@@ -41,7 +41,6 @@ def fresh_state(monkeypatch, tmp_path):
     cache_dir = tmp_path / "kcache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     monkeypatch.delenv("REPRO_CC", raising=False)
-    monkeypatch.delenv("REPRO_TIER", raising=False)
     default_cache.clear()
     clear_session_state()
     yield cache_dir

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.codegen.compiler as compiler_mod
 import repro.codegen.native as native_mod
 import repro.core.resilience as resilience
 import repro.core.tiered as tiered
@@ -410,13 +411,14 @@ class TestEmittedSourceKey:
 
     @requires_compiler
     def test_build_native_compiles_the_source_it_is_given(
-            self, tmp_path, monkeypatch):
+            self, monkeypatch):
         staged = _staged(8.5, "given_k")
         source = export_source(staged)
         monkeypatch.setattr(
             native_mod, "emit_c_source",
             lambda *a, **k: pytest.fail("build_native emitted the C again"))
-        artifact = build_native(staged, workdir=tmp_path, source=source)
+        artifact = build_native(staged, source, required_isas(staged),
+                                compiler_chain(inspect_system()))
         assert artifact.c_source == source
         assert artifact.so_path.is_file()
 
@@ -633,6 +635,29 @@ class TestAcquireUnderTheLock:
             acquire_native(_vector_param_staged())
         assert exc.value.report.compiler_invocations == 0
         assert not _spans("build_lock")
+
+
+@requires_compiler
+def test_a_cold_acquire_derives_each_input_once(session, monkeypatch):
+    """One uncached acquire inspects the host and derives the kernel's
+    ISAs once: the layers under it take both from it, wherever they
+    bind the names."""
+    calls = {"inspect_system": 0, "required_isas": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (resilience, native_mod, compiler_mod):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+    _native, report = acquire_native(_staged(15.5, "derive_once_k"))
+    assert report.cache_source == "compiled"
+    assert calls == {"inspect_system": 1, "required_isas": 1}
 
 
 @requires_compiler

@@ -220,8 +220,7 @@ def _spawn_kernel_build(store: Path, cc: Path, tier: str,
                REPRO_CACHE_DIR=str(store),
                REPRO_CC=f"gcc={cc}",
                PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
-    for var in ("REPRO_FAULTS", "REPRO_TIER"):
-        env.pop(var, None)
+    env.pop("REPRO_FAULTS", None)
     cmd = [sys.executable, "-c",
            f"from tests._build_worker import main; "
            f"main({tier!r}, {order!r})"]
@@ -257,7 +256,7 @@ def holder(tmp_path, monkeypatch):
     cc = _counting_cc(tmp_path, log, sleep_s=120)
     proc = _spawn_kernel_build(store, cc, "sync", [0])
     monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
-    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER", "REPRO_OBS"):
+    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_OBS"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()
@@ -271,6 +270,7 @@ def holder(tmp_path, monkeypatch):
     finally:
         proc.kill()
         proc.wait(timeout=30)
+        proc.stderr.close()
         for pid in log.read_text().split():
             try:   # the compiler runs in its own process group
                 os.killpg(int(pid), signal.SIGKILL)

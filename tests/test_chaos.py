@@ -61,7 +61,6 @@ def chaos_state(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     monkeypatch.delenv("REPRO_CC", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_TIER", raising=False)
     default_cache.clear()
     clear_session_state()
     yield cache_dir

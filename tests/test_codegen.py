@@ -105,11 +105,11 @@ class TestSystemInspection:
 @requires_avx2_fma
 class TestNativeBackend:
     def test_native_saxpy_matches_simulator(self):
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
         from repro.simd import execute_staged
 
         sf = make_staged_saxpy()
-        kernel = compile_to_native(sf)
+        kernel = acquire_native(sf)[0]
         n = 100
         rng = np.random.default_rng(5)
         a_native = rng.normal(size=n).astype(np.float32)
@@ -123,23 +123,24 @@ class TestNativeBackend:
         def fn(a, b):
             return a * b + 2.0
 
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
 
         sf = stage_function(fn, [FLOAT, FLOAT], "fmad")
-        kernel = compile_to_native(sf)
+        kernel = acquire_native(sf)[0]
         assert kernel(3.0, 4.0) == pytest.approx(14.0)
 
     def test_dtype_checked_at_boundary(self):
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
 
         sf = make_staged_saxpy()
-        kernel = compile_to_native(sf)
+        kernel = acquire_native(sf)[0]
         with pytest.raises(TypeError, match="dtype"):
             kernel(np.zeros(8, np.float64), np.zeros(8, np.float32),
                    1.0, 8)
 
     def test_svml_requires_icc(self):
-        from repro.codegen.native import NativeLinkError, compile_to_native
+        from repro.codegen.native import NativeLinkError
+        from repro.core.resilience import acquire_native
         from repro.isa import load_isas
 
         svml = load_isas("SVML")
@@ -157,4 +158,4 @@ class TestNativeBackend:
         sysinfo = inspect_system()
         if sysinfo.best_compiler and sysinfo.best_compiler.name != "icc":
             with pytest.raises(NativeLinkError, match="SVML"):
-                compile_to_native(sf)
+                acquire_native(sf)

@@ -29,11 +29,11 @@ from tests.conftest import requires_compiler
 
 def _native_or_skip(staged):
     from repro.codegen.compiler import inspect_system
-    from repro.codegen.native import compile_to_native
+    from repro.core.resilience import acquire_native
 
     if inspect_system().best_compiler is None:
         pytest.skip("no C compiler")
-    return compile_to_native(staged)
+    return acquire_native(staged)[0]
 
 
 class TestWhileLoopCodegen:

@@ -3,12 +3,15 @@
 Classic compiler validation, twice over:
 
 * native C backend vs the SIMD machine — generate random (but
-  well-defined) staged scalar kernels, compile them through gcc/clang,
-  and require bit-exact agreement with both simulator engines on the
-  same graph.  Shift counts are masked at staging time
-  and division is excluded, so every generated program has one defined
-  meaning; ``-fwrapv`` gives signed wraparound the same semantics in C
-  as in the graph.
+  well-defined) staged scalar kernels, build them through
+  :func:`~repro.core.resilience.acquire_native` (the path every native
+  kernel takes: ladder compile, forked smoke-run, link), and require
+  bit-exact agreement with both simulator engines on the same graph.
+  The module's kernels go to a disk store of its own, so every one is
+  compiled here and none is read from another run.  Shift counts are
+  masked at staging time and division is excluded, so every generated
+  program has one defined meaning; ``-fwrapv`` gives signed wraparound
+  the same semantics in C as in the graph.
 * closure-compiled executor vs the reference tree interpreter — random
   kernels over every control-flow node kind (for/if/while, variables,
   select, convert, array reads/writes) must produce identical results,
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.obs as obs
-from repro.codegen.native import compile_to_native
+from repro.core.resilience import acquire_native
 from repro.lms import forloop, stage_function
 from repro.lms.expr import Exp, const
 from repro.lms.ops import (
@@ -40,6 +43,16 @@ from tests.conftest import requires_compiler
 
 _INT_BINOPS = ("+", "-", "*", "&", "|", "^")
 _FLOAT_BINOPS = ("+", "-", "*")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _own_disk_store(tmp_path_factory):
+    """A fresh ``REPRO_CACHE_DIR`` for the module (module-scoped, since
+    hypothesis rejects function-scoped fixtures)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR",
+                  str(tmp_path_factory.mktemp("differential-kcache")))
+        yield
 
 
 class _ExprGen:
@@ -114,7 +127,7 @@ def _build_kernel(choices: list[int], as_float: bool):
 
 def _check_native_agrees(staged, args, bits):
     """Native code for ``staged`` must match both engines on it."""
-    kernel = compile_to_native(staged)
+    kernel = acquire_native(staged)[0]
     native = bits(kernel(*args))
     for engine in ("tree", "compiled"):
         simulated = bits(SimdMachine(executor=engine).run(staged, args))

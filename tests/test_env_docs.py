@@ -33,14 +33,14 @@ def _documented() -> set[str]:
 
 def test_every_variable_the_library_reads_has_a_row():
     read = _read_by_src()
-    assert "REPRO_TIER" in read, "the lookup pattern finds nothing"
+    assert "REPRO_CACHE_DIR" in read, "the lookup pattern finds nothing"
     missing = sorted(read - _documented())
     assert not missing, f"README has no row for {missing}"
 
 
 def test_every_row_names_a_variable_the_library_reads():
     documented = _documented()
-    assert "REPRO_TIER" in documented, "the row pattern finds nothing"
+    assert "REPRO_CACHE_DIR" in documented, "the row pattern finds nothing"
     stale = sorted(documented - _read_by_src())
     assert not stale, f"README documents variables nothing reads: {stale}"
 

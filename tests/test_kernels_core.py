@@ -236,10 +236,10 @@ def _compiled_saxpy():
 @requires_avx2_fma
 class TestNativeMMM:
     def test_native_mmm_matches_simulator_bitwise(self, rng):
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
 
         staged = make_staged_mmm()
-        kernel = compile_to_native(staged)
+        kernel = acquire_native(staged)[0]
         n = 16
         a = rng.normal(size=n * n).astype(np.float32)
         b = rng.normal(size=n * n).astype(np.float32)

@@ -53,7 +53,7 @@ from tests.conftest import requires_compiler
 
 pytestmark = requires_compiler
 
-_ENV = ("REPRO_FAULTS", "REPRO_TIER", "REPRO_CC")
+_ENV = ("REPRO_FAULTS", "REPRO_CC")
 
 
 @pytest.fixture(scope="module")
@@ -385,8 +385,8 @@ class TestExtensionGlue:
         cc = inspect_system().best_compiler
         flags = cc.flags_for(frozenset()) + ["-Wall", "-Wextra", "-Werror"]
         staged = stage_function(fn, types, fn.__name__)
-        compile_shared_library(export_source(staged), tmp_path, frozenset(),
-                               compiler=cc, name=fn.__name__, flags=flags)
+        compile_shared_library(export_source(staged), tmp_path, cc,
+                               fn.__name__, flags)
 
     UNCONVERTIBLE = [
         ("str_for_float", lambda d, s: (d, s, "2.0", 8)),

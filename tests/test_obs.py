@@ -43,10 +43,10 @@ def fresh_obs(monkeypatch):
 
 @pytest.fixture
 def native_env(monkeypatch, tmp_path):
-    """A private disk cache and no ambient compiler, tier or fault
-    settings, for tests that build a native kernel."""
+    """A private disk cache and no ambient compiler or fault settings,
+    for tests that build a native kernel."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
-    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER"):
+    for var in ("REPRO_CC", "REPRO_FAULTS"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()

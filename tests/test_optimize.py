@@ -195,15 +195,15 @@ class TestNativeSemantics:
         _check_native_agrees(staged, [v], _f32_bits)
 
     def test_float_mul_zero_not_discarded_natively(self):
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
 
         staged = stage_function(lambda x: x * 0.0, [FLOAT], "nfz_k")
-        assert np.isnan(compile_to_native(staged)(float("inf")))
+        assert np.isnan(acquire_native(staged)[0](float("inf")))
 
     def test_multiply_add_is_not_contracted(self):
         """SAXPY's scalar tail ``a + b * s`` is built with ``-mfma``;
         contracted into one fused rounding it would give -2**-46."""
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
 
         staged = make_staged_saxpy()
         n = 3  # the tail loop only
@@ -211,7 +211,7 @@ class TestNativeSemantics:
         s = np.float32(1 - 2.0 ** -23)
         a_native = np.full(n, -1.0, np.float32)
         a_sim = a_native.copy()
-        compile_to_native(staged)(a_native, b, float(s), n)
+        acquire_native(staged)[0](a_native, b, float(s), n)
         _run(staged, [a_sim, b, s, np.int32(n)], "compiled")
         assert a_sim.tolist() == [0.0] * n
         assert a_native.tobytes() == a_sim.tobytes()
@@ -394,14 +394,15 @@ class TestNativeTier:
     def test_native_matches_unoptimized_simulator(self, name):
         """The generated C of each shipped kernel's raw graph computes
         the bytes the simulator does."""
-        from repro.codegen.native import compile_to_native, required_isas
+        from repro.codegen.native import required_isas
+        from repro.core.resilience import acquire_native
 
         make, make_args = _CORPUS[name]
         staged = make()
         missing = required_isas(staged) - inspect_system().isas
         if missing:
             pytest.skip(f"host lacks {sorted(missing)}")
-        kernel = compile_to_native(staged)
+        kernel = acquire_native(staged)[0]
         args = make_args()
         native = _outcome(kernel(*[a.item() if isinstance(a, np.generic)
                                    else a for a in args]), args)

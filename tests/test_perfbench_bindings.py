@@ -92,7 +92,7 @@ def test_kernel_attributes_the_worker_times_exist(tmp_path, monkeypatch):
     bare dispatch, a native kernel's ``_fn`` and ``_batch_fn`` as the
     floor, and a simulated kernel's ``_machine.run``."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "kcache"))
-    for var in ("REPRO_CC", "REPRO_FAULTS", "REPRO_TIER"):
+    for var in ("REPRO_CC", "REPRO_FAULTS"):
         monkeypatch.delenv(var, raising=False)
     default_cache.clear()
     clear_session_state()

@@ -34,6 +34,7 @@ from repro.core.resilience import (
     clear_session_state,
     quarantined_kernels,
 )
+from repro.core.tiered import TIER_MODES
 from repro.lms import forloop, stage_function
 from repro.lms.ops import array_apply, array_update
 from repro.lms.types import FLOAT, INT32, array_of
@@ -47,6 +48,13 @@ def _pin_faults(monkeypatch):
     """Keep this suite hermetic: an ambient ``REPRO_FAULTS`` (the CI
     chaos job sets one) must not perturb its exact assertions."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
+
+
+@pytest.fixture(params=TIER_MODES)
+def tier(request) -> str:
+    """The tier a ``backend="auto"`` compile takes: a test that compiles
+    through it runs once on each."""
+    return request.param
 
 
 @pytest.fixture
@@ -131,12 +139,13 @@ class TestFlagLadder:
 @requires_compiler
 class TestRetryAndFallback:
     def test_transient_failures_retried_to_success(self, clean_state,
-                                                   tmp_path, monkeypatch):
+                                                   tmp_path, monkeypatch,
+                                                   tier):
         script = _fake_cc_transient_then_ok(tmp_path, failures=2)
         monkeypatch.setenv("REPRO_CC", f"gcc={script}")
         kernel = compile_staged(build_unique(3.125, "retry_k"),
-                                [array_of(FLOAT), INT32],
-                                name="retry_k", backend="auto").wait_native()
+                                [array_of(FLOAT), INT32], name="retry_k",
+                                backend="auto", tier=tier).wait_native()
         assert kernel.backend == BackendKind.NATIVE
         rep = kernel.report
         assert [a.outcome for a in rep.attempts] == \
@@ -147,12 +156,12 @@ class TestRetryAndFallback:
         assert a[0] == pytest.approx(2.0 + 3.125)
 
     def test_permanent_failure_falls_back_to_simulator(
-            self, clean_state, tmp_path, monkeypatch):
+            self, clean_state, tmp_path, monkeypatch, tier):
         script = _fake_cc_always_fail(tmp_path)
         monkeypatch.setenv("REPRO_CC", f"gcc={script}")
         kernel = compile_staged(build_unique(7.25, "permfail_k"),
-                                [array_of(FLOAT), INT32],
-                                name="permfail_k", backend="auto").wait_native()
+                                [array_of(FLOAT), INT32], name="permfail_k",
+                                backend="auto", tier=tier).wait_native()
         assert kernel.backend == BackendKind.SIMULATED
         assert kernel.fallback_reason is not None
         rep = kernel.report
@@ -177,7 +186,7 @@ class TestRetryAndFallback:
     @pytest.mark.parametrize("breaks_o3",
                              ["o3-rejecting-cc", "compile.permanent"])
     def test_flag_ladder_downgrades_to_o2(self, clean_state, tmp_path,
-                                          monkeypatch, breaks_o3):
+                                          monkeypatch, breaks_o3, tier):
         if breaks_o3 == "o3-rejecting-cc":
             script = _fake_cc_rejects_o3(tmp_path)
             monkeypatch.setenv("REPRO_CC", f"gcc={script}")
@@ -187,8 +196,8 @@ class TestRetryAndFallback:
             faults.reset()
         obs.reset()
         kernel = compile_staged(build_unique(11.5, "o3less_k"),
-                                [array_of(FLOAT), INT32],
-                                name="o3less_k", backend="auto").wait_native()
+                                [array_of(FLOAT), INT32], name="o3less_k",
+                                backend="auto", tier=tier).wait_native()
         assert kernel.backend == BackendKind.NATIVE
         rep = kernel.report
         outcomes = [(a.rung, a.outcome) for a in rep.attempts]
@@ -293,10 +302,11 @@ class TestSmokeAndQuarantine:
         metas[0].write_text(json.dumps(meta))
 
     def _poisoned_pipeline_kernel(self, clean_state, salt, name,
-                                  crash):
+                                  crash, tier):
         fn = build_unique(salt, name)
         types = [array_of(FLOAT), INT32]
-        first = compile_staged(fn, types, name=name, backend="auto").wait_native()
+        first = compile_staged(fn, types, name=name, backend="auto",
+                               tier=tier).wait_native()
         assert first.backend == BackendKind.NATIVE
         symbol = first._native.symbol
         broken = self._compile_broken_so(clean_state.parent, symbol,
@@ -304,11 +314,12 @@ class TestSmokeAndQuarantine:
         self._poison_disk_cache(clean_state, broken)
         default_cache.clear()
         clear_session_state()
-        return compile_staged(fn, types, name=name, backend="auto").wait_native()
+        return compile_staged(fn, types, name=name, backend="auto",
+                              tier=tier).wait_native()
 
-    def test_segfaulting_kernel_is_contained(self, clean_state):
+    def test_segfaulting_kernel_is_contained(self, clean_state, tier):
         kernel = self._poisoned_pipeline_kernel(
-            clean_state, 13.25, "segv_k", crash=True)
+            clean_state, 13.25, "segv_k", crash=True, tier=tier)
         # the host process survived, the kernel fell back to the
         # simulator, and the reason names the quarantine
         assert kernel.backend == BackendKind.SIMULATED
@@ -320,16 +331,16 @@ class TestSmokeAndQuarantine:
         assert a[0] == pytest.approx(2.0 + 13.25)
         assert quarantined_kernels()
 
-    def test_mismatching_kernel_is_quarantined(self, clean_state):
+    def test_mismatching_kernel_is_quarantined(self, clean_state, tier):
         kernel = self._poisoned_pipeline_kernel(
-            clean_state, 17.75, "lying_k", crash=False)
+            clean_state, 17.75, "lying_k", crash=False, tier=tier)
         assert kernel.backend == BackendKind.SIMULATED
         assert "quarantined" in kernel.fallback_reason
         assert kernel.report.smoke == "mismatch"
 
-    def test_quarantine_short_circuits_recompiles(self, clean_state):
+    def test_quarantine_short_circuits_recompiles(self, clean_state, tier):
         self._poisoned_pipeline_kernel(clean_state, 19.5, "q_k",
-                                       crash=True)
+                                       crash=True, tier=tier)
         default_cache.clear()  # memory tier only; quarantine survives
         fn = build_unique(19.5, "q_k")
         staged = stage_function(fn, [array_of(FLOAT), INT32], "q_k")
@@ -339,7 +350,7 @@ class TestSmokeAndQuarantine:
         assert exc.value.report.compiler_invocations == 0
 
     def test_quarantine_falls_back_when_the_cache_is_wedged(
-            self, clean_state, monkeypatch):
+            self, clean_state, monkeypatch, tier):
         """Every shard lock is held by a live process, so dropping the
         crashed artifact from the store times out; the kernel is still
         quarantined and served by the simulator."""
@@ -354,45 +365,48 @@ class TestSmokeAndQuarantine:
             monkeypatch.setenv("REPRO_FAULTS", "smoke.kill_child:n=1")
             kernel = compile_staged(build_unique(37.5, "wedged_k"),
                                     [array_of(FLOAT), INT32],
-                                    name="wedged_k",
-                                    backend="auto").wait_native()
+                                    name="wedged_k", backend="auto",
+                                    tier=tier).wait_native()
         finally:
             wedge.stdin.close()
             wedge.wait(timeout=30)
+            wedge.stdout.close()
         assert kernel.backend == BackendKind.SIMULATED
         assert kernel.fallback_reason.startswith("quarantined: crashed")
         a = np.ones(8, np.float32)
         kernel(a, 8)
         assert a[0] == pytest.approx(2.0 + 37.5)
 
-    def test_healthy_kernel_smoke_passes(self, clean_state):
+    def test_healthy_kernel_smoke_passes(self, clean_state, tier):
         kernel = compile_staged(build_unique(23.5, "healthy_k"),
-                                [array_of(FLOAT), INT32],
-                                name="healthy_k", backend="auto").wait_native()
+                                [array_of(FLOAT), INT32], name="healthy_k",
+                                backend="auto", tier=tier).wait_native()
         assert kernel.backend == BackendKind.NATIVE
         assert kernel.report.smoke == "passed"
 
 
 @requires_compiler
 class TestDiskCache:
-    def test_disk_hit_after_memory_eviction(self, clean_state):
+    def test_disk_hit_after_memory_eviction(self, clean_state, tier):
         fn = build_unique(29.5, "disk_k")
         types = [array_of(FLOAT), INT32]
-        k1 = compile_staged(fn, types, name="disk_k", backend="auto").wait_native()
+        k1 = compile_staged(fn, types, name="disk_k", backend="auto",
+                            tier=tier).wait_native()
         assert k1.report.cache_source == "compiled"
         default_cache.clear()
         clear_session_state()
-        k2 = compile_staged(fn, types, name="disk_k", backend="auto").wait_native()
+        k2 = compile_staged(fn, types, name="disk_k", backend="auto",
+                            tier=tier).wait_native()
         assert k2.backend == BackendKind.NATIVE
         assert k2.report.cache_source == "disk"
         assert k2.report.compiler_invocations == 0
 
-    def test_second_process_hits_disk_cache(self, clean_state):
+    def test_second_process_hits_disk_cache(self, clean_state, tier):
         env = dict(os.environ,
                    REPRO_CACHE_DIR=str(clean_state),
                    PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
         cmd = [sys.executable, "-c",
-               "from tests._resilience_kernel import main; main()"]
+               f"from tests._resilience_kernel import main; main({tier!r})"]
         reports = []
         for _ in range(2):
             out = subprocess.run(cmd, env=env, cwd=REPO_ROOT,
@@ -408,15 +422,15 @@ class TestDiskCache:
         assert reports[1]["invocations"] == 0
 
     def test_code_generator_change_is_a_miss(self, clean_state,
-                                             monkeypatch):
+                                             monkeypatch, tier):
         """The disk key covers the emitted C: after a code-generator
         change a store filled before it serves no stale library."""
         import repro.codegen.native as native_mod
 
         fn = build_unique(41.5, "codegen_k")
         types = [array_of(FLOAT), INT32]
-        k1 = compile_staged(fn, types, name="codegen_k",
-                            backend="auto").wait_native()
+        k1 = compile_staged(fn, types, name="codegen_k", backend="auto",
+                            tier=tier).wait_native()
         assert k1.report.cache_source == "compiled"
         default_cache.clear()
         clear_session_state()
@@ -424,23 +438,25 @@ class TestDiskCache:
         monkeypatch.setattr(
             native_mod, "emit_c_source",
             lambda *a, **k: emit(*a, **k) + "/* edited generator */\n")
-        k2 = compile_staged(fn, types, name="codegen_k",
-                            backend="auto").wait_native()
+        k2 = compile_staged(fn, types, name="codegen_k", backend="auto",
+                            tier=tier).wait_native()
         assert k2.backend == BackendKind.NATIVE
         assert k2.report.cache_source == "compiled"
         assert k2.c_source.endswith("/* edited generator */\n")
 
-    def test_corrupted_entry_recompiled_not_loaded(self, clean_state):
+    def test_corrupted_entry_recompiled_not_loaded(self, clean_state, tier):
         fn = build_unique(31.5, "corrupt_k")
         types = [array_of(FLOAT), INT32]
-        compile_staged(fn, types, name="corrupt_k", backend="auto").wait_native()
+        compile_staged(fn, types, name="corrupt_k", backend="auto",
+                       tier=tier).wait_native()
         # corrupt the artifact *without* fixing the checksum
         sos = list(clean_state.glob("*/*.so"))
         assert len(sos) == 1
         sos[0].write_bytes(b"\x7fELFgarbage")
         default_cache.clear()
         clear_session_state()
-        k2 = compile_staged(fn, types, name="corrupt_k", backend="auto").wait_native()
+        k2 = compile_staged(fn, types, name="corrupt_k", backend="auto",
+                            tier=tier).wait_native()
         assert k2.backend == BackendKind.NATIVE
         assert k2.report.cache_source == "compiled"  # silent miss
         a = np.ones(8, np.float32)
@@ -561,7 +577,6 @@ class TestSmokeTimeout:
     @staticmethod
     def _hung_artifact(monkeypatch):
         """An artifact whose smoke-run child sleeps for a minute."""
-        from repro.codegen.compiler import inspect_system
         from repro.codegen.native import NativeArtifact
 
         def hang(*args, **kwargs):
@@ -573,7 +588,8 @@ class TestSmokeTimeout:
         return NativeArtifact(
             staged=_staged(3.5, "hang_k"), c_source="",
             so_path=Path("unbuilt.so"), symbol="repro_native_hang_k",
-            isas=frozenset(), system=inspect_system())
+            isas=frozenset(), compiler=CompilerInfo("gcc", "gcc", "gcc 0"),
+            flags=())
 
     def test_hung_child_is_killed_without_spinning(self, monkeypatch):
         forked: list[int] = []

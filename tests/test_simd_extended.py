@@ -284,7 +284,7 @@ class TestMultiSaxpy:
 
     def test_avx512_native_matches_simulator(self):
         from repro.codegen import inspect_system
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
         from repro.kernels.multi_saxpy import make_multi_saxpy, select_abi
         from repro.simd import execute_staged
 
@@ -292,7 +292,7 @@ class TestMultiSaxpy:
         if not system.supports("AVX512F") or system.best_compiler is None:
             pytest.skip("host lacks AVX-512 or a C compiler")
         staged = make_multi_saxpy(select_abi(frozenset({"AVX512F"})))
-        kernel = compile_to_native(staged)
+        kernel = acquire_native(staged)[0]
         rng = np.random.default_rng(2)
         n = 37
         a_native = rng.normal(size=n).astype(np.float32)
@@ -343,7 +343,7 @@ class TestMaskedTailSaxpy:
 
     def test_native_matches_simulator(self):
         from repro.codegen import inspect_system
-        from repro.codegen.native import compile_to_native
+        from repro.core.resilience import acquire_native
         from repro.kernels import make_staged_saxpy512_masked
         from repro.simd import execute_staged
 
@@ -351,7 +351,7 @@ class TestMaskedTailSaxpy:
         if not system.supports("AVX512F") or system.best_compiler is None:
             pytest.skip("host lacks AVX-512 or a C compiler")
         staged = make_staged_saxpy512_masked()
-        kernel = compile_to_native(staged)
+        kernel = acquire_native(staged)[0]
         rng = np.random.default_rng(8)
         n = 53
         a_native = rng.normal(size=n).astype(np.float32)

@@ -2,7 +2,7 @@
 
 Covers the HotSpot-shaped execution lattice: instant simulated-tier
 service with background native compilation and atomic hot-swap
-(``REPRO_TIER=async``) with every promotion admitted, quarantine-aware
+(``tier="async"``) with every promotion admitted, quarantine-aware
 demotion that never raises into callers and leaves no admission state
 behind, one compiler run per graph on either tier (the build lock),
 ``compile_many`` batch warming, hermetic ``clear_session_state``
@@ -37,7 +37,7 @@ from repro.core.resilience import (
     quarantine,
     quarantined_kernels,
 )
-from repro.core.tiered import compile_workers, default_manager, tier_mode
+from repro.core.tiered import compile_workers, default_manager
 from repro.lms import forloop
 from repro.lms.ops import array_apply, array_update
 from repro.lms.staging import stage_function
@@ -76,7 +76,6 @@ def tiered_state(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     monkeypatch.setenv("REPRO_COMPILE_WORKERS", "2")
     monkeypatch.delenv("REPRO_CC", raising=False)
-    monkeypatch.delenv("REPRO_TIER", raising=False)
     default_cache.clear()
     clear_session_state()
     yield cache_dir
@@ -138,21 +137,6 @@ exit 1
 
 
 class TestEnvKnobs:
-    def test_tier_mode_default_and_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TIER", raising=False)
-        assert tier_mode() == "sync"
-        for mode in ("sync", "async"):
-            monkeypatch.setenv("REPRO_TIER", mode)
-            assert tier_mode() == mode
-        monkeypatch.setenv("REPRO_TIER", "ASYNC")
-        assert tier_mode() == "async"
-
-    def test_tier_mode_malformed_warns_to_sync(self, monkeypatch):
-        for raw in ("turbo", "hot"):
-            monkeypatch.setenv("REPRO_TIER", raw)
-            with pytest.warns(RuntimeWarning, match="REPRO_TIER"):
-                assert tier_mode() == "sync"
-
     def test_compile_workers_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_COMPILE_WORKERS", "3")
         assert compile_workers() == 3
@@ -249,12 +233,11 @@ class TestAsyncTier:
                 f"native={calls['native']})") in kernel.explain()
         assert obs.get_registry().counter_value("tiered.calls") == seen
 
-    def test_explicit_native_backend_ignores_tiering(
-            self, tiered_state, monkeypatch):
-        monkeypatch.setenv("REPRO_TIER", "async")
+    def test_explicit_native_backend_ignores_tiering(self, tiered_state):
         kernel = compile_staged(build_unique(6.5, "natreq_k"),
                                 [array_of(FLOAT), INT32],
-                                name="natreq_k", backend="native")
+                                name="natreq_k", backend="native",
+                                tier="async")
         assert kernel.backend == BackendKind.NATIVE   # inline, no defer
 
     def test_explain_shows_tier_history(self, tiered_state, tmp_path,
@@ -799,12 +782,11 @@ def record_cancel(action, tier, detail=""):
 kernel._record_tier_event = record_cancel
 default_manager._ensure_pool = ensure_pool
 
-def stage():
-    try:
-        compile_staged(build_unique(72.5, "race2"), types, name="race2",
-                       tier="async")
-    except RuntimeError:    # the drain shut its pool down first
-        pass
+late = []
+
+def stage():            # submits to the pool the drain shut down
+    late.append(compile_staged(build_unique(72.5, "race2"), types,
+                               name="race2", tier="async"))
 
 threads = [threading.Thread(target=stage, daemon=True),
            threading.Thread(target=default_manager.drain, daemon=True)]
@@ -814,7 +796,9 @@ for t in threads:
     t.join(10)
 stuck = any(t.is_alive() for t in threads)
 print(json.dumps({"stuck": stuck, "pending": None if stuck
-                  else default_manager.stats()["pending"]}), flush=True)
+                  else default_manager.stats()["pending"],
+                  "late": [late[0].tier, late[0].tier_events[-1].action]
+                  if late else None}), flush=True)
 os._exit(0)
 """
 
@@ -842,7 +826,9 @@ class TestExit:
     def test_staging_during_a_drain_does_not_deadlock(self, tiered_state):
         """A drain runs cancelled compiles' callbacks under the pool's
         lock, and they take the manager's: a kernel staged onto the
-        draining pool must not hold the manager's lock as it submits."""
+        draining pool must not hold the manager's lock as it submits.
+        Its submit then finds the pool shut down, and the kernel settles
+        as a cancelled compile, serving from the simulator."""
         env = dict(os.environ, REPRO_COMPILE_WORKERS="1",
                    PYTHONPATH=f"{REPO_ROOT}/src:{REPO_ROOT}")
         child = subprocess.run(
@@ -851,7 +837,7 @@ class TestExit:
             timeout=60)
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout.splitlines()[-1]) == {
-            "stuck": False, "pending": 0}
+            "stuck": False, "pending": 0, "late": ["simulated", "cancel"]}
 
 
 @requires_compiler
